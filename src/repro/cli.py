@@ -126,8 +126,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="communication fast path: decode each broadcast payload "
-        "once per superstep, shared-inbox delivery for the process "
-        "executor, batched apply scatter (bitwise identical; "
+        "once per superstep, batched apply scatter (bitwise identical; "
         "--no-comm-fastpath exists for A/B benchmarking)",
     )
     parser.add_argument(

@@ -46,7 +46,7 @@ class ClusterBuild:
     the warm cluster instead of rebuilding it.
 
     ``mpe(name)`` returns one cached engine per dataset: its setup
-    (tile placement, bloom filters, source summaries, caches) runs once
+    (tile placement, source summaries, caches) runs once
     and stays warm.  ``mpe(name, fresh=True)`` preserves the historical
     facade behaviour of a brand-new engine per ``load_graph`` call.
     """
@@ -180,7 +180,7 @@ class GraphH:
         ``config.tune`` when given.
     comm_fastpath:
         Communication fast path (decode-once broadcast fan-out with
-        shared-inbox delivery and batched apply).  On by default;
+        batched apply).  On by default;
         bitwise identical either way, so ``False`` exists only for A/B
         benchmarking.  Overlays ``config.comm_fastpath`` when given.
     mutations:

@@ -9,8 +9,9 @@ Execution model
   program needs it) the ``int32[|V|]`` out-degree array — 20 bytes per
   vertex, §IV-A's accounting.
 * Superstep (Algorithm 5): every server streams its tiles through
-  memory one at a time — skipping tiles whose bloom filter proves no
-  source vertex updated last superstep — runs the vectorised
+  memory one at a time — skipping tiles with no source vertex updated
+  last superstep (proven by the exact active bitmap, or by the bloom
+  filter with selective scheduling off) — runs the vectorised
   gather/apply over each tile's target range, buffers changed values,
   then broadcasts them with the hybrid dense/sparse codec-compressed
   message.  A BSP barrier applies all updates to every replica.
@@ -82,11 +83,13 @@ class MPEConfig:
     use_bloom_filters: bool = True
     bloom_false_positive_rate: float = 0.01
     # GraphMP-style selective scheduling: prune tiles from the schedule
-    # with an *exact* active-vertex bitmap before the (approximate)
-    # bloom probe ever runs.  Strictly more skips than bloom alone
-    # (differing only on bloom false positives), and a pruned tile is
-    # never double-probed.  The REPRO_SELECTIVE environment variable
-    # overrides this at run time.
+    # with an *exact* active-vertex bitmap instead of the (approximate)
+    # bloom probe.  Strictly more skips than bloom alone (differing only
+    # on bloom false positives), and no bloom filter is built or probed:
+    # the bloom's one verdict the bitmap does not repeat — an empty tile
+    # under a dense frontier — is read off the tile's source summary.
+    # The REPRO_SELECTIVE environment variable overrides this at run
+    # time.
     selective_scheduling: bool = True
     replication_policy: str = "aa"  # "aa" (paper default, §IV-A) | "od"
     # Stage-two tile placement: "round_robin" (paper §III-C.1) or
@@ -156,15 +159,14 @@ class MPEConfig:
     tune: bool = False
     # Communication fast path (decode-once broadcast fan-out): decode
     # each broadcast payload once per superstep and share the immutable
-    # result across receivers, stage process-executor inboxes in a
-    # shared-memory arena instead of pickling the same bytes to every
-    # worker, and scatter all senders' updates in one batched
-    # ``store.write`` per receiver.  Values, Counters, CacheStats, and
-    # modeled costs are bitwise identical either way — every receiver
-    # still charges its own decompress bytes — so "off" exists only for
-    # A/B benchmarking (benchmarks/bench_comm.py).  The
-    # REPRO_COMM_FASTPATH environment variable overrides this at run
-    # time.
+    # result across receivers, and scatter all senders' updates in one
+    # batched ``store.write`` per receiver.  The lowest-id receiver of a
+    # payload records the decode miss, so hit/miss counts are the same
+    # under every executor.  Values, Counters, CacheStats, and modeled
+    # costs are bitwise identical either way — every receiver still
+    # charges its own decompress bytes — so "off" exists only for A/B
+    # benchmarking (benchmarks/bench_comm.py).  The REPRO_COMM_FASTPATH
+    # environment variable overrides this at run time.
     comm_fastpath: bool = True
 
     def __post_init__(self) -> None:
@@ -423,9 +425,13 @@ class MPE:
         self._forced_superstep: int = -1
         self.spe = SPE(cluster.dfs)
         self._tiles_fetched = False
-        # Per-server: list of (tile_id, blob_name, nbytes); bloom filters.
+        # Per-server: list of (tile_id, blob_name, nbytes).
         self._assignments: list[list[tuple[int, str, int]]] = []
+        # Per-tile bloom filters (tile_id -> BloomFilter): built at the
+        # top of a run only when ``_bloom_probing`` holds for it, and
+        # dropped for tiles a mutation batch touches.
         self._blooms: dict[int, BloomFilter] = {}
+        self._bloom_probing = False
         self._tile_nbytes_total = 0
         # Per-server sorted global ids of the targets its tiles own —
         # the shared static index behind range-dense broadcasts.
@@ -438,24 +444,20 @@ class MPE:
         # normal runs.
         self.injector = None
         # --- process-runtime state (see repro.runtime.process) --------
-        # Parent side: shared scratch for the previous update set, the
-        # program of the active run, and the workers' last-reported
-        # cache content fingerprints.  Worker side (set post-fork by
-        # _process_child_init): each owned server's staged own-update
-        # and the per-superstep hashed-key memo.
-        self._hash_scratch = None
+        # The program of the active run and the workers' last-reported
+        # cache content fingerprints (parent side).
         self._run_program: VertexProgram | None = None
         self._worker_content: dict[int, tuple] = {}
-        self._worker_last: dict[int, tuple] = {}
-        self._worker_hash_memo: tuple | None = None
         # --- communication fast path (decode-once fan-out) ------------
         # Per-superstep content-keyed decode cache: payload bytes →
-        # immutable UpdatePayload.  The first receiver decodes, every
-        # later one reuses the result while still charging its own
-        # decompress bytes.  The lock spans the whole get-or-decode so
-        # thread-executor hit/miss counts stay deterministic.
+        # immutable UpdatePayload, shared by every receiver (each still
+        # charges its own decompress bytes).  ``_decode_owner`` names
+        # the (receiver, sender) that records each payload's miss — the
+        # first in server-id order, fixed before the apply fan-out so
+        # hit/miss attribution never depends on thread arrival order.
         self._comm_fastpath = self.config.comm_fastpath
         self._decode_cache: dict[bytes, object] = {}
+        self._decode_owner: dict[bytes, tuple[int, int]] = {}
         self._decode_lock = threading.Lock()
         self.payload_decode_hits = 0
         self.payload_decode_misses = 0
@@ -465,11 +467,6 @@ class MPE:
         # that had to fall back to per-sender writes.
         self._targets_disjoint = False
         self.scatter_fallbacks = 0
-        # Worker side: the shared-inbox arena attachment for the
-        # current superstep's apply phase, set post-fork.
-        self._worker_arena: tuple[str, object] | None = None
-        self._worker_payload_memo: dict[tuple[int, int], bytes] = {}
-        self._worker_decode_superstep = -1
 
     # ------------------------------------------------------------------
     # Observability wiring (repro.obs)
@@ -558,7 +555,7 @@ class MPE:
             self._obs_decode_misses = None
 
     # ------------------------------------------------------------------
-    # Setup: fetch tiles, build blooms, size caches
+    # Setup: fetch tiles, build source summaries, size caches
     # ------------------------------------------------------------------
     def setup(self) -> None:
         """Stage-two assignment + local fetch (idempotent)."""
@@ -603,20 +600,8 @@ class MPE:
             server.store_blob(name, blob)
             self._assignments[server_id].append((tile_id, name, len(blob)))
             per_server_bytes[server_id] += len(blob)
-            if (
-                self.config.use_bloom_filters
-                # A tuned run may switch filtering on mid-run; build the
-                # filters now, while the decoded tile is already in hand
-                # (and before the process pool would fork).
-                or self._tune
-                or self._selective
-                or self.config.replication_policy == "od"
-            ):
+            if self._selective or self.config.replication_policy == "od":
                 tile = self._tile_parser(blob)
-                if self.config.use_bloom_filters or self._tune:
-                    self._blooms[tile_id] = tile.build_bloom_filter(
-                        self.config.bloom_false_positive_rate
-                    )
                 if self._selective:
                     self._summaries[tile_id] = TileSourceSummary.from_tile(tile)
                 if self.config.replication_policy == "od":
@@ -734,6 +719,16 @@ class MPE:
                 "tuning",
                 mode="tuner" if tuner is not None else "scripted",
             )
+        # The one predicate deciding whether this run may probe bloom
+        # filters: selective scheduling off (the exact bitmap otherwise
+        # decides every skip) and filtering possible — configured on,
+        # or switchable by the tuner or a scripted plan.  Only then are
+        # the filters built, here in the parent, before any pool forks.
+        self._bloom_probing = not self._selective and (
+            self.config.use_bloom_filters or plan is not None
+        )
+        if self._bloom_probing:
+            self._ensure_blooms()
         # A supervised retry may leave half-delivered broadcasts from an
         # aborted superstep behind; every run starts with clean mailboxes.
         self.channel.clear_all()
@@ -921,7 +916,7 @@ class MPE:
                 # Incoming-update buffer (the message array of §III-C.1).
                 server.counters.set_memory("messages", message_bytes)
 
-            # Vertices "updated" in the previous superstep — drives bloom
+            # Vertices "updated" in the previous superstep — drives tile
             # skipping.  Superstep 0 processes everything (initial load); a
             # resumed run continues with the checkpointed update set; an
             # incremental run seeds the mutation batch's dirty set so the
@@ -941,7 +936,7 @@ class MPE:
                 # Fork point: every shared structure above must exist
                 # first, so workers inherit it by address, not by pickle.
                 executor = self._start_process_pool(
-                    program, num_vertices, num_workers, cleanup
+                    program, num_workers, cleanup
                 )
             elif runtime_name == "parallel":
                 executor = make_executor(
@@ -951,6 +946,7 @@ class MPE:
                 # Forced serial (e.g. REPRO_EXECUTOR): thread knobs
                 # configured for another executor don't apply here.
                 executor = make_executor("serial")
+            apply_executor = make_executor("serial") if use_process else executor
 
             for superstep in range(start_superstep, cfg.max_supersteps):
                 t0 = time.perf_counter()
@@ -987,57 +983,28 @@ class MPE:
                 # server-id order, exactly like the serial schedule.
                 if ebuf is not None:
                     ebuf.begin("compute", "phase")
-                # Selective scheduling: resolve the exact bitmap prune
-                # once per superstep, in the parent, so every executor
-                # (and the parent-side fault replay) applies the same
-                # skip decisions in the same order.
-                skip_sets = self._compute_skip_sets(
-                    superstep, prev_updated, num_vertices
-                )
-                # Live working set for the tuner's cache decision: the
-                # bytes each server's sweep will actually serve this
-                # superstep, reproduced parent-side from the same skip
-                # logic the sweep applies (executor-independent).
-                sched_bytes = (
-                    self._scheduled_bytes(
-                        superstep, prev_updated, num_vertices, skip_sets
+                # The superstep's tile schedules, derived once, parent-side:
+                # every executor's sweep, the fault replay and the tuner's
+                # byte estimate all read these same lists.
+                bitmap = self._frontier(prev_updated, num_vertices)
+                prev_hashed = self._hashed_updates(prev_updated, num_vertices)
+                schedules = [
+                    self._tile_schedule(
+                        s.server_id, superstep, bitmap, prev_hashed
                     )
-                    if tuner is not None
-                    else None
-                )
+                    for s in servers
+                ]
                 if use_process:
                     steps = self._process_compute_phase(
-                        executor,
-                        servers,
-                        superstep,
-                        prev_updated,
-                        num_vertices,
-                        skip_sets,
+                        executor, servers, superstep, schedules
                     )
                 else:
-                    # Hash the updated set once per superstep: bloom probe
-                    # hashes are filter-independent, so every tile check on
-                    # every server shares this read-only batch instead of
-                    # re-mixing the whole set per tile.  When *every* vertex
-                    # updated (PageRank's dense phase), ALL_KEYS lets the
-                    # filter answer from its insert count alone — provably
-                    # the same decision, zero hashing.
-                    prev_hashed = None
-                    if self._knobs.use_bloom and prev_updated is not None:
-                        prev_hashed = (
-                            ALL_KEYS
-                            if prev_updated.size == num_vertices
-                            else hash_keys(prev_updated)
-                        )
                     steps = executor.map(
                         lambda server: self._compute_server_step(
                             program,
                             server,
                             superstep,
-                            prev_hashed,
-                            skip_sets[server.server_id]
-                            if skip_sets is not None
-                            else None,
+                            schedules[server.server_id],
                         ),
                         servers,
                     )
@@ -1079,70 +1046,25 @@ class MPE:
 
                 # ---- BSP barrier: apply all updates everywhere ---------
                 # Also per-server-independent (own store, own mailbox,
-                # own counters).  The parent drains each mailbox and, in
-                # process mode, ships the (src, payload) inbox to the
-                # worker owning the server, which writes straight into
-                # the shared value arrays and returns its counter delta.
-                if use_process:
-                    inboxes = [
-                        [
-                            (env.src, env.payload)
-                            for env in self.channel.receive_all(s.server_id)
-                        ]
-                        for s in servers
+                # own counters).  Process runs apply here in the parent:
+                # their vertex stores are shared memory (``Shared*`` or
+                # MAP_SHARED mmap), so the workers see every write.
+                inboxes = [
+                    [
+                        (env.src, env.payload)
+                        for env in self.channel.receive_all(s.server_id)
                     ]
-                    # Fast path: stage each distinct broadcast payload
-                    # once in a shared segment and ship (src, off, len)
-                    # handles, instead of pickling the same bytes to
-                    # every receiving worker.  Released once the phase
-                    # returns — workers never hold it across supersteps.
-                    arena = None
-                    if self._comm_fastpath and any(inboxes):
-                        arena, dispatch = self._stage_shared_inboxes(
-                            superstep, inboxes
-                        )
-                    else:
-                        dispatch = [
-                            ("bytes", superstep, inbox) for inbox in inboxes
-                        ]
-                    try:
-                        apply_results = executor.run_phase("apply", dispatch)
-                    finally:
-                        if arena is not None:
-                            arena.release()
-                    for server, (
-                        delta,
-                        tr_events,
-                        dc_hits,
-                        dc_misses,
-                        sc_fb,
-                    ) in zip(servers, apply_results):
-                        server.counters.add_volumes(delta)
-                        self.payload_decode_hits += dc_hits
-                        self.payload_decode_misses += dc_misses
-                        self.scatter_fallbacks += sc_fb
-                        if tr_events and self.tracer is not None:
-                            self.tracer.server(server.server_id).extend(
-                                tr_events
-                            )
-                else:
-                    # One decode-once cache generation per superstep:
-                    # retries re-decode (payload content may differ) and
-                    # the cache never outlives the broadcast it serves.
-                    self._decode_cache.clear()
-                    executor.map(
-                        lambda server: self._apply_server_step(
-                            server,
-                            all_updates[server.server_id],
-                            [
-                                (env.src, env.payload)
-                                for env in self.channel.receive_all(
-                                    server.server_id
-                                )
-                            ],
-                        ),
-                        servers,
-                    )
+                    for s in servers
+                ]
+                self._plan_decodes(servers, inboxes)
+                apply_executor.map(
+                    lambda server: self._apply_server_step(
+                        server,
+                        all_updates[server.server_id],
+                        inboxes[server.server_id],
+                    ),
+                    servers,
+                )
                 if ebuf is not None:
                     ebuf.end()  # apply
                     ebuf.begin("account", "phase")
@@ -1203,7 +1125,10 @@ class MPE:
                         cost_model,
                         num_vertices,
                         servers,
-                        sched_bytes,
+                        [
+                            sum(nbytes for _tid, _name, nbytes in loads)
+                            for loads, _skips in schedules
+                        ],
                         tbuf,
                     )
                 if ebuf is not None:
@@ -1443,15 +1368,14 @@ class MPE:
             composed = result.composed[tile_id]
             # Refresh parent-side schedule state from the composed tile
             # so the next run's pruning sees the mutated source sets
-            # (an inserted edge's source must be probe-visible).
+            # (an inserted edge's source must be probe-visible).  A
+            # stale bloom filter is dropped; the next run that probes
+            # rebuilds it (_ensure_blooms).
             if tile_id in self._summaries or self._selective:
                 self._summaries[tile_id] = TileSourceSummary.from_tile(
                     composed
                 )
-            if tile_id in self._blooms:
-                self._blooms[tile_id] = composed.build_bloom_filter(
-                    self.config.bloom_false_positive_rate
-                )
+            self._blooms.pop(tile_id, None)
             if server.decoded_cache is not None:
                 server.decoded_cache.invalidate(name)
             overlay = self._delta.overlays.get(tile_id)
@@ -1718,8 +1642,6 @@ class MPE:
                     server.cache.switch_mode(knobs.cache_mode)
                 else:
                     server.switch_cache_mode(knobs.cache_mode)
-        if knobs.use_bloom:
-            self._ensure_blooms()
         if tbuf is not None and switched:
             tbuf.instant(
                 "knob_switch",
@@ -1735,15 +1657,14 @@ class MPE:
         self._knobs = knobs
 
     def _ensure_blooms(self) -> None:
-        """Backfill missing bloom filters from the fetched blobs (host
+        """Build every missing bloom filter from the fetched blobs (host
         plumbing: ``disk.peek`` is unmetered).
 
-        Covers filtering switched on mid-run when setup had no reason
-        to build filters (scripted plans on a ``tune=off`` engine).
-        Runs parent-side and, in process mode, once per worker —
-        ``build_bloom_filter`` is a pure function of the tile and the
-        configured false-positive rate, so every copy answers probes
-        identically.
+        Called once at the top of a run whose schedule may probe the
+        filters, parent-side and before the process pool forks; workers
+        never probe (schedules are derived in the parent).  Filters
+        dropped by :meth:`apply_mutations` are rebuilt here from the
+        composed tile.
         """
         if len(self._blooms) >= self.manifest.num_tiles:
             return
@@ -1754,43 +1675,6 @@ class MPE:
                     self._blooms[tile_id] = tile.build_bloom_filter(
                         self.config.bloom_false_positive_rate
                     )
-
-    def _scheduled_bytes(
-        self, superstep, prev_updated, num_vertices, skip_sets
-    ) -> list[int]:
-        """Per-server bytes the sweeps will serve this superstep —
-        the surviving tiles' blob sizes after the same bitmap + bloom
-        pruning the sweeps apply.  Pure parent-side arithmetic over
-        static assignments and this superstep's frozen skip decisions,
-        so it is identical across executors."""
-        knobs = self._knobs
-        prev_hashed = None
-        if knobs.use_bloom and prev_updated is not None:
-            prev_hashed = (
-                ALL_KEYS
-                if prev_updated.size == num_vertices
-                else hash_keys(prev_updated)
-            )
-        forced = (
-            self._forced_tiles
-            if superstep == self._forced_superstep
-            else frozenset()
-        )
-        out = []
-        for server_id, tiles in enumerate(self._assignments):
-            skips = skip_sets[server_id] if skip_sets is not None else None
-            total = 0
-            for tile_id, _name, nbytes in tiles:
-                if tile_id not in forced:
-                    if skips is not None and tile_id in skips:
-                        continue
-                    if prev_hashed is not None and not self._blooms[
-                        tile_id
-                    ].might_intersect(prev_hashed):
-                        continue
-                total += nbytes
-            out.append(total)
-        return out
 
     def _observe_tuning(
         self,
@@ -1844,9 +1728,7 @@ class MPE:
                 num_vertices=num_vertices,
                 tiles_processed=report.tiles_processed,
                 tiles_skipped=report.tiles_skipped,
-                scheduled_bytes=(
-                    sched_bytes[straggler] if sched_bytes is not None else 0
-                ),
+                scheduled_bytes=sched_bytes[straggler],
                 miss_bytes=int(d.disk_read_random),
                 cache_mode=cache.mode if cache is not None else 1,
                 cache_capacity=(
@@ -1883,95 +1765,109 @@ class MPE:
                     tile = self._tile_parser(server.disk.peek(name))
                     self._summaries[tile_id] = TileSourceSummary.from_tile(tile)
 
-    def _compute_skip_sets(
-        self, superstep: int, prev_updated, num_vertices: int
-    ) -> "list[frozenset[int]] | None":
-        """Per-server sets of tile ids the active bitmap proves dead
-        this superstep, or ``None`` when the prune cannot fire
-        (selective off, no previous update set — scratch superstep 0,
-        resume-with-no-set — or a dense frontier where nothing can be
-        skipped).  An incremental run *does* carry an update set at
-        superstep 0 (the mutation batch's dirty ids seeded via
-        :class:`~repro.runtime.active.ActiveBitmap`), which is exactly
-        what makes its seed superstep prune; its forced tiles are
-        exempt from the verdict.
-
-        Resolved once, parent-side: every executor's sweep (and the
-        fault replay in :meth:`_resolve_compute_faults`) consumes the
-        same frozen decisions, which is what keeps skip schedules —
-        and hence fault coordinates — executor-independent.
+    def _frontier(
+        self, prev_updated, num_vertices: int
+    ) -> ActiveBitmap | None:
+        """The active bitmap the selective prune tests tiles against, or
+        ``None`` when the prune cannot fire: selective off, no previous
+        update set (scratch superstep 0, resume-with-no-set), or a dense
+        frontier (every vertex updated), where only an empty tile could
+        go — the ``ALL_KEYS`` case of :meth:`_hashed_updates`.  An
+        incremental run *does* carry an update set at superstep 0 (the
+        mutation batch's dirty ids), which is what makes its seed
+        superstep prune.
         """
         if not self._selective or prev_updated is None:
             return None
         bitmap = ActiveBitmap.seed_from_ids(prev_updated, num_vertices)
-        if bitmap.dense:
-            # Every vertex updated: no tile has an all-inactive source
-            # set (mirrors the bloom ALL_KEYS fast path — empty tiles
-            # are left to the bloom probe, same as with selective off).
+        return None if bitmap.dense else bitmap
+
+    def _hashed_updates(self, prev_updated, num_vertices: int):
+        """The previous update set as a bloom-skip key batch, or ``None``
+        when no bloom skip can fire this superstep (filtering off, or no
+        previous update set).
+
+        When every vertex updated (PageRank's dense phase) this is
+        :data:`ALL_KEYS`: a filter answers from its insert count alone,
+        zero hashing.  Otherwise the set is hashed once per superstep
+        (the hashes are filter-independent) — but only when this run
+        probes filters at all: under selective scheduling every bitmap
+        survivor has an updated source, so the bloom could never skip it.
+        """
+        if not self._knobs.use_bloom or prev_updated is None:
             return None
+        if prev_updated.size == num_vertices:
+            return ALL_KEYS
+        return hash_keys(prev_updated) if self._bloom_probing else None
+
+    def _tile_schedule(
+        self,
+        server_id: int,
+        superstep: int,
+        bitmap: ActiveBitmap | None,
+        prev_hashed: "HashedKeys | None",
+    ) -> "tuple[list[tuple[int, str, int]], list[tuple[int, str]]]":
+        """One server's tile schedule for ``superstep`` — the single place
+        skip decisions are made.
+
+        Returns ``(loads, skips)``: the ``(tile_id, blob_name, nbytes)``
+        entries the sweep loads, in sweep order, and the ``(tile_id,
+        reason)`` entries it skips, reason ``"bitmap"`` (the exact prune
+        against ``bitmap``, see :meth:`_frontier`) or ``"bloom"`` (no
+        source in ``prev_hashed``, see :meth:`_hashed_updates`).  Tiles
+        forced by an incremental seed superstep are exempt from both.
+
+        Derived parent-side, so the sweep's counters and ``tile_skip``
+        instants, the fault replay's first load and the tuner's byte
+        estimate agree under every executor.
+        """
         forced = (
             self._forced_tiles
             if superstep == self._forced_superstep
             else frozenset()
         )
-        skip_sets = []
-        for server_id in range(len(self._assignments)):
-            skips = frozenset(
-                tile_id
-                for tile_id, _name, _nbytes in self._assignments[server_id]
-                if tile_id not in forced
-                and not self._summaries[tile_id].intersects(bitmap)
-            )
-            skip_sets.append(skips)
-        return skip_sets
+        loads: list[tuple[int, str, int]] = []
+        skips: list[tuple[int, str]] = []
+        for entry in self._assignments[server_id]:
+            tile_id = entry[0]
+            if tile_id not in forced:
+                if bitmap is not None and not self._summaries[
+                    tile_id
+                ].intersects(bitmap):
+                    skips.append((tile_id, "bitmap"))
+                    continue
+                if prev_hashed is None:
+                    live = True
+                elif self._bloom_probing:
+                    live = self._blooms[tile_id].might_intersect(prev_hashed)
+                else:
+                    # Selective scheduling passes only ALL_KEYS here (a
+                    # dense frontier), where a bloom answers from its
+                    # insert count: "skip" exactly for an empty tile.
+                    live = self._summaries[tile_id].sources.size > 0
+                if not live:
+                    skips.append((tile_id, "bloom"))
+                    continue
+            loads.append(entry)
+        return loads, skips
 
-    def _start_process_pool(
-        self, program, num_vertices: int, num_workers: int, cleanup: list
-    ):
+    def _start_process_pool(self, program, num_workers: int, cleanup: list):
         """Stage shared-memory state and fork the worker pool.
 
         Everything big becomes shared *before* the fork — the vertex
-        stores already are (built as ``Shared*`` variants), and here the
-        updated-id scratch, every bloom filter's bit array, and all tile
-        blobs (one read-only arena fronting each server's disk with
-        unchanged metering) join them.  Per-superstep dispatch then
-        ships only ``(superstep, spec)`` handles down and compact
+        stores already are (built as ``Shared*`` variants), and here all
+        tile blobs join them (one read-only arena fronting each server's
+        disk with unchanged metering).  Per-superstep dispatch then
+        ships only ``(superstep, schedule, knobs)`` down and compact
         :class:`_ProcessStep` results back.  Teardown actions are pushed
         onto ``cleanup`` (run LIFO by ``run``'s finally).
         """
         from repro.runtime.process import ProcessExecutor
-        from repro.runtime.shm import ArenaDisk, SharedArray, SharedBlobArena
+        from repro.runtime.shm import ArenaDisk, SharedBlobArena
 
         servers = self.cluster.servers
         self._run_program = program
         self._worker_content = {}
-
-        # Shared id scratch: the parent stages the previous update set,
-        # each worker hashes it locally (filter-independent hashing, so
-        # the redundancy is safe and runs in parallel).
-        scratch = SharedArray((max(1, num_vertices),), np.int64)
-        self._hash_scratch = scratch
-
-        def _drop_scratch() -> None:
-            self._hash_scratch = None
-            scratch.release()
-
-        cleanup.append(_drop_scratch)
-
-        # Bloom bit arrays move into shared segments for the run (and
-        # back out at teardown — later runs may be thread/serial).
-        relocated = []
-        for bloom in self._blooms.values():
-            sh = SharedArray.from_array(bloom.export_bits())
-            bloom.adopt_bits(sh.array)
-            relocated.append((bloom, sh))
-
-        def _restore_blooms() -> None:
-            for bloom, sh in relocated:
-                bloom.adopt_bits(np.array(sh.array, dtype=np.uint64))
-                sh.release()
-
-        cleanup.append(_restore_blooms)
 
         # Tile blobs: one shared read-only arena; every server's disk is
         # fronted by an arena view with byte-identical metering, so
@@ -2032,66 +1928,30 @@ class MPE:
             server.fault_injector = None
         self.channel.fault_injector = None
         self.cluster.dfs.fault_injector = None
-        self._worker_last = {}
-        self._worker_hash_memo = None
-        # Fresh communication-fast-path state: the decode cache must not
-        # alias the parent's dict (each worker decodes independently),
-        # and any inherited arena attachment belongs to the parent.
-        self._decode_cache = {}
-        self._decode_lock = threading.Lock()
-        self._worker_arena = None
-        self._worker_payload_memo = {}
-        self._worker_decode_superstep = -1
         if self.tracer is not None:
             # The fork copied whatever the parent had already recorded;
             # without this clear the first per-phase drain would ship
             # those pre-fork events back as duplicates.
             self.tracer.clear_events()
 
-    def _worker_hashed_keys(self, superstep: int, spec):
-        """Worker-side reconstruction of the hashed update set.
-
-        ``spec`` is the compute handle: ``None`` (no filtering),
-        ``"all"`` (every vertex updated → :data:`ALL_KEYS`), or the
-        count of ids staged in the shared scratch.  Hashed once per
-        worker per superstep (memoised), not once per owned server.
-        """
-        if spec is None:
-            return None
-        if spec == "all":
-            return ALL_KEYS
-        memo = self._worker_hash_memo
-        if memo is not None and memo[0] == superstep:
-            return memo[1]
-        hashed = hash_keys(self._hash_scratch.array[:spec])
-        self._worker_hash_memo = (superstep, hashed)
-        return hashed
-
     def _process_phase_handler(self, tag: str, server_id: int, payload):
-        """Worker-side phase dispatch (runs in the forked pool)."""
+        """Worker-side phase dispatch (runs in the forked pool; only the
+        compute phase — apply runs parent-side)."""
         server = self.cluster.servers[server_id]
         snap = CounterSnapshot.capture(server)
         if tag == "compute":
-            superstep, spec, skips, knob_tuple = payload
+            superstep, schedule, knob_tuple = payload
             # The parent's per-superstep knob decision, applied *after*
             # the snapshot so a cache-mode switch's metering lands in
             # this superstep's delta — same instant as serial.  The
             # switch itself is idempotent per server (sticky workers see
-            # the same directive again next superstep, a no-op), and the
-            # knobs stay in force for this worker's apply phase.
+            # the same directive again next superstep, a no-op).
             self._knobs = KnobSettings.from_tuple(knob_tuple)
             if self._knobs.cache_mode is not None:
                 server.switch_cache_mode(self._knobs.cache_mode)
-            if self._knobs.use_bloom:
-                self._ensure_blooms()
-            prev_hashed = self._worker_hashed_keys(superstep, spec)
             step = self._compute_server_step(
-                self._run_program, server, superstep, prev_hashed, skips
+                self._run_program, server, superstep, schedule
             )
-            # Own updates stay worker-side for the apply phase; the
-            # parent gets its own copy in the result for broadcast
-            # bookkeeping and convergence accounting.
-            self._worker_last[server_id] = (step.ids, step.vals)
             c = server.counters
             cache = server.cache
             decoded = server.decoded_cache
@@ -2151,144 +2011,18 @@ class MPE:
                 prefetch_ready=step.prefetch_ready,
                 prefetch_total=step.prefetch_total,
             )
-        if tag == "apply":
-            kind, superstep = payload[0], payload[1]
-            if superstep != self._worker_decode_superstep:
-                # New superstep → new decode-cache generation (and new
-                # shared-inbox arena, attached lazily below).
-                self._worker_decode_superstep = superstep
-                self._decode_cache.clear()
-                self._worker_payload_memo.clear()
-            if kind == "arena":
-                seg_name, handles = payload[2], payload[3]
-                inbox = [
-                    (src, self._worker_payload_bytes(seg_name, off, ln))
-                    for src, off, ln in handles
-                ]
-            else:
-                inbox = payload[2]
-            hits0 = self.payload_decode_hits
-            misses0 = self.payload_decode_misses
-            fb0 = self.scatter_fallbacks
-            own = self._worker_last.pop(
-                server_id,
-                (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)),
-            )
-            self._apply_server_step(server, own, inbox)
-            delta = snap.delta(server)
-            tr_events = (
-                tuple(server.trace.drain())
-                if server.trace is not None
-                else None
-            )
-            return (
-                delta,
-                tr_events,
-                self.payload_decode_hits - hits0,
-                self.payload_decode_misses - misses0,
-                self.scatter_fallbacks - fb0,
-            )
         raise ValueError(f"unknown phase {tag!r}")
 
-    def _worker_payload_bytes(self, seg_name: str, off: int, ln: int) -> bytes:
-        """Materialise one staged payload from the shared-inbox arena.
-
-        The worker attaches to the superstep's segment by name the first
-        time it needs it (per-superstep segments are created after the
-        pool forked, so they cannot be inherited), then serves repeated
-        handles for the same span from a per-superstep memo so each
-        distinct payload's bytes are built once per worker.
-        """
-        from repro.runtime.shm import attach_segment
-
-        attached = self._worker_arena
-        if attached is None or attached[0] != seg_name:
-            if attached is not None:
-                attached[1].close()
-            self._worker_arena = attached = (seg_name, attach_segment(seg_name))
-        memo = self._worker_payload_memo
-        data = memo.get((off, ln))
-        if data is None:
-            data = bytes(attached[1].buf[off : off + ln])
-            memo[(off, ln)] = data
-        return data
-
-    def _stage_shared_inboxes(self, superstep: int, inboxes):
-        """Stage this superstep's broadcast payloads in one shared segment.
-
-        Payloads are deduplicated by object identity — a broadcast
-        delivers the *same* bytes object to every other server's
-        mailbox, while byte-equal payloads from different senders stay
-        distinct spans.  Returns the arena (parent releases it after the
-        apply phase) and the per-server dispatch payloads carrying
-        ``(src, offset, length)`` handles.
-        """
-        from repro.runtime.shm import SharedArray
-
-        spans: dict[int, tuple[int, int]] = {}
-        blobs: list[bytes] = []
-        total = 0
-        for inbox in inboxes:
-            for _src, data in inbox:
-                if id(data) not in spans:
-                    spans[id(data)] = (total, len(data))
-                    blobs.append(data)
-                    total += len(data)
-        arena = SharedArray((max(1, total),), np.uint8)
-        view = arena.array
-        for data in blobs:
-            off, n = spans[id(data)]
-            view[off : off + n] = np.frombuffer(data, dtype=np.uint8)
-        dispatch = [
-            (
-                "arena",
-                superstep,
-                arena.name,
-                [(src, *spans[id(data)]) for src, data in inbox],
-            )
-            for inbox in inboxes
-        ]
-        return arena, dispatch
-
     def _process_compute_phase(
-        self,
-        executor,
-        servers,
-        superstep: int,
-        prev_updated,
-        num_vertices: int,
-        skip_sets: "list[frozenset[int]] | None" = None,
+        self, executor, servers, superstep: int, schedules
     ) -> "list[_ProcessStep]":
         """Parent-side compute dispatch for the process executor."""
-        spec = None
-        if self._knobs.use_bloom and prev_updated is not None:
-            if prev_updated.size == num_vertices:
-                spec = "all"
-            else:
-                n = int(prev_updated.size)
-                self._hash_scratch.array[:n] = prev_updated
-                spec = n
         if self.injector is not None:
-            if spec == "all":
-                prev_hashed = ALL_KEYS
-            elif spec is not None:
-                prev_hashed = hash_keys(prev_updated)
-            else:
-                prev_hashed = None
-            self._resolve_compute_faults(
-                servers, superstep, prev_hashed, skip_sets
-            )
+            self._resolve_compute_faults(servers, superstep, schedules)
+        knobs = self._knobs.as_tuple()
         steps = executor.run_phase(
             "compute",
-            [
-                (
-                    superstep,
-                    spec,
-                    skip_sets[s.server_id] if skip_sets is not None else None,
-                    self._knobs.as_tuple(),
-                )
-                for s in servers
-            ],
+            [(superstep, schedules[s.server_id], knobs) for s in servers],
         )
         for server, step in zip(servers, steps):
             self._merge_worker_step(server, step)
@@ -2301,18 +2035,16 @@ class MPE:
                 )
         return steps
 
-    def _resolve_compute_faults(
-        self, servers, superstep, prev_hashed, skip_sets=None
-    ) -> None:
+    def _resolve_compute_faults(self, servers, superstep, schedules) -> None:
         """Fire compute-phase fault decisions in the parent, in serial
         sweep order, before dispatching to workers.
 
         Crash and disk-error points are replayed against the same
         (superstep, server, first-loaded-blob) coordinates the serial
-        sweep would present; a crash therefore aborts the superstep
-        before any worker computes, with vertex state untouched — the
-        same post-abort state as every other executor ("fail before
-        mutate").
+        sweep would present — the first entry of the server's schedule;
+        a crash therefore aborts the superstep before any worker
+        computes, with vertex state untouched — the same post-abort
+        state as every other executor ("fail before mutate").
         """
         from repro.faults.schedule import DISK_ERROR
 
@@ -2328,37 +2060,9 @@ class MPE:
                 e.matches(superstep, server.server_id) for e in disk_events
             ):
                 continue
-            blob_name = self._first_loaded_blob(
-                server.server_id,
-                superstep,
-                prev_hashed,
-                skip_sets[server.server_id] if skip_sets is not None else None,
-            )
-            if blob_name is not None:
-                injector.on_tile_load(server, blob_name)
-
-    def _first_loaded_blob(
-        self, server_id: int, superstep: int, prev_hashed, skips=None
-    ) -> str | None:
-        """The first tile blob this server's sweep would actually load
-        (bitmap then bloom skips applied, in sweep order) — the
-        parent-side stand-in for the worker's first ``on_tile_load``
-        coordinate."""
-        forced = (
-            self._forced_tiles
-            if superstep == self._forced_superstep
-            else frozenset()
-        )
-        for tile_id, blob_name, _nbytes in self._assignments[server_id]:
-            if tile_id not in forced:
-                if skips is not None and tile_id in skips:
-                    continue
-                if prev_hashed is not None and not self._blooms[
-                    tile_id
-                ].might_intersect(prev_hashed):
-                    continue
-            return blob_name
-        return None
+            loads, _skips = schedules[server.server_id]
+            if loads:
+                injector.on_tile_load(server, loads[0][1])
 
     def _merge_worker_step(self, server, step: "_ProcessStep") -> None:
         """Fold a worker's compute result into the parent's mirrors:
@@ -2439,8 +2143,7 @@ class MPE:
         program: VertexProgram,
         server,
         superstep: int,
-        prev_hashed: "HashedKeys | None",
-        skips: "frozenset[int] | None" = None,
+        schedule: "tuple[list[tuple[int, str, int]], list[tuple[int, str]]]",
     ) -> "_ServerStep":
         """One server's tile sweep: gather/apply + staged broadcast.
 
@@ -2449,23 +2152,19 @@ class MPE:
         The encoded broadcast payload is returned (not delivered) — the
         caller flushes all payloads after the join, in server-id order.
 
-        ``prev_hashed`` carries the previous superstep's updated-vertex
-        set pre-hashed for bloom probing — or ``ALL_KEYS`` when every
-        vertex updated, or ``None`` when filters are off / there is no
-        previous superstep.  ``skips`` is the bitmap prune's verdict for
-        this server (tile ids proven dead), resolved parent-side by
-        :meth:`_compute_skip_sets`; ``None`` when the prune is off.
+        ``schedule`` is this server's ``(loads, skips)`` pair from
+        :meth:`_tile_schedule`, derived parent-side.
         """
         trace = server.trace
         if trace is None:
             return self._compute_server_sweep(
-                program, server, superstep, prev_hashed, skips
+                program, server, superstep, schedule
             )
         d0 = trace.depth
         trace.begin("compute", "phase", superstep=superstep)
         try:
             return self._compute_server_sweep(
-                program, server, superstep, prev_hashed, skips
+                program, server, superstep, schedule
             )
         finally:
             # close_to, not end: an injected fault aborting the sweep
@@ -2477,8 +2176,7 @@ class MPE:
         program: VertexProgram,
         server,
         superstep: int,
-        prev_hashed: "HashedKeys | None",
-        skips: "frozenset[int] | None" = None,
+        schedule: "tuple[list[tuple[int, str, int]], list[tuple[int, str]]]",
     ) -> "_ServerStep":
         """:meth:`_compute_server_step` body (split so the traced path
         can wrap it in an exception-safe span)."""
@@ -2492,46 +2190,17 @@ class MPE:
         changed_vals_parts: list[np.ndarray] = []
         tile_edge_counts: list[int] = []
         tiles_processed = 0
-        tiles_skipped = 0
         sort_fallbacks = 0
-        # Explicit schedule: all skips are resolved *before* anything is
-        # enqueued, so a skipped tile costs the pipeline zero I/O.  The
-        # exact bitmap prune runs first; a tile it kills is never probed
-        # against the bloom filter (no double accounting) — the bloom
-        # check only sees bitmap survivors.
-        schedule: list[tuple[int, str, int]] = []
-        forced = (
-            self._forced_tiles
-            if superstep == self._forced_superstep
-            else frozenset()
-        )
-        for tile_id, blob_name, nbytes in self._assignments[server.server_id]:
-            if tile_id not in forced:
-                if skips is not None and tile_id in skips:
-                    tiles_skipped += 1
-                    server.counters.tiles_skipped += 1
-                    if trace is not None:
-                        trace.instant(
-                            "tile_skip",
-                            "schedule",
-                            tile=tile_id,
-                            reason="bitmap",
-                        )
-                    continue
-                if prev_hashed is not None and not self._blooms[
-                    tile_id
-                ].might_intersect(prev_hashed):
-                    tiles_skipped += 1
-                    server.counters.tiles_skipped += 1
-                    if trace is not None:
-                        trace.instant(
-                            "tile_skip",
-                            "schedule",
-                            tile=tile_id,
-                            reason="bloom",
-                        )
-                    continue
-            schedule.append((tile_id, blob_name, nbytes))
+        # Explicit schedule: all skips were resolved before anything is
+        # enqueued, so a skipped tile costs the pipeline zero I/O.
+        loads, skips = schedule
+        tiles_skipped = len(skips)
+        server.counters.tiles_skipped += tiles_skipped
+        if trace is not None:
+            for tile_id, reason in skips:
+                trace.instant(
+                    "tile_skip", "schedule", tile=tile_id, reason=reason
+                )
 
         def run_tile(
             tile_id: int, blob_name: str, nbytes: int, prefetched=None
@@ -2567,7 +2236,7 @@ class MPE:
 
         prefetch_ready = 0
         prefetch_total = 0
-        if knobs.prefetch_depth > 0 and schedule:
+        if knobs.prefetch_depth > 0 and loads:
             from repro.runtime.prefetch import TilePrefetcher
 
             # Background threads speculate ahead (read-only, unmetered);
@@ -2577,7 +2246,7 @@ class MPE:
             # i.e. in deterministic serial sweep order.
             prefetcher = TilePrefetcher(
                 server,
-                schedule,
+                loads,
                 self._tile_parser,
                 depth=knobs.prefetch_depth,
                 io_threads=knobs.io_threads,
@@ -2593,7 +2262,7 @@ class MPE:
             prefetch_ready = prefetcher.served_ready
             prefetch_total = prefetcher.dequeues
         else:
-            for item in schedule:
+            for item in loads:
                 run_tile(*item)
 
         # Charge compute as the LPT makespan of this server's
@@ -2692,8 +2361,8 @@ class MPE:
         """One server's barrier work: apply own + received updates.
 
         ``inbox`` is the drained mailbox as ``(sender id, payload
-        bytes)`` pairs — a picklable shape, so the process executor
-        ships the same argument the thread executor passes in-memory.
+        bytes)`` pairs.  Runs in the parent (serial, process) or on the
+        thread pool (parallel).
         """
         trace = server.trace
         if trace is None:
@@ -2713,8 +2382,7 @@ class MPE:
     ) -> None:
         """:meth:`_apply_server_step` body (traced-path split)."""
         # The superstep's effective knobs: all senders encoded with the
-        # same per-superstep codec (parent-resolved; in process mode the
-        # compute handler pinned this worker's copy for this superstep).
+        # same per-superstep codec (parent-resolved).
         codec = self._knobs.message_codec
         store = server.state["store"]
         own_ids, own_vals = own_update
@@ -2755,47 +2423,66 @@ class MPE:
         else:
             store.write(np.concatenate(id_parts), np.concatenate(val_parts))
 
+    def _plan_decodes(self, servers, inboxes) -> None:
+        """Open this superstep's decode-once cache generation.
+
+        Retries re-decode (payload content may differ) and the cache
+        never outlives the broadcast it serves.  Each distinct payload's
+        miss is assigned to the first (receiver, sender) pair in
+        server-id, then mailbox order — the one a serial apply meets
+        first — before any receiver runs.
+        """
+        self._decode_cache.clear()
+        self._decode_owner.clear()
+        if self._comm_fastpath:
+            for server, inbox in zip(servers, inboxes):
+                for src, data in inbox:
+                    self._decode_owner.setdefault(data, (server.server_id, src))
+
     def _decode_payload(self, server, src: int, payload_bytes: bytes):
         """Decode-once lookup for one received broadcast payload.
 
-        Content-keyed (bytes hash by value): the first receiver of a
-        payload decodes it and caches the immutable result for the rest
-        of the superstep; later receivers reuse it.  The lock spans the
-        whole get-or-decode so the thread executor's miss count equals
-        the number of distinct payloads exactly.  Emits a
-        ``payload_decode`` span (miss, covering the decode) or instant
-        (hit) on the server's trace buffer.
+        Content-keyed (bytes hash by value): whichever receiver gets here
+        first decodes the payload and caches the immutable result for
+        the rest of the superstep; every other receiver reuses it.  The
+        miss is recorded by the receiver :meth:`_plan_decodes` named, so
+        hit/miss counts and the ``payload_decode`` span (miss) or
+        instant (hit) on each server's trace buffer are the same under
+        every executor, whatever order threads arrive in.
         """
+        miss = self._decode_owner.get(payload_bytes) == (server.server_id, src)
         trace = server.trace
-        with self._decode_lock:
-            payload = self._decode_cache.get(payload_bytes)
-            if payload is None:
-                if trace is not None:
-                    d0 = trace.depth
-                    trace.begin(
-                        "payload_decode",
-                        "comm",
-                        src=src,
-                        nbytes=len(payload_bytes),
-                        cache="miss",
-                    )
-                try:
-                    payload = decode_update(payload_bytes)
-                finally:
-                    if trace is not None:
-                        trace.close_to(d0)
-                self._decode_cache[payload_bytes] = payload
-                self.payload_decode_misses += 1
+        if trace is not None:
+            d0 = trace.depth
+            if miss:
+                trace.begin(
+                    "payload_decode",
+                    "comm",
+                    src=src,
+                    nbytes=len(payload_bytes),
+                    cache="miss",
+                )
             else:
-                self.payload_decode_hits += 1
-                if trace is not None:
-                    trace.instant(
-                        "payload_decode",
-                        "comm",
-                        src=src,
-                        nbytes=len(payload_bytes),
-                        cache="hit",
-                    )
+                trace.instant(
+                    "payload_decode",
+                    "comm",
+                    src=src,
+                    nbytes=len(payload_bytes),
+                    cache="hit",
+                )
+        try:
+            with self._decode_lock:
+                payload = self._decode_cache.get(payload_bytes)
+                if payload is None:
+                    payload = decode_update(payload_bytes)
+                    self._decode_cache[payload_bytes] = payload
+                if miss:
+                    self.payload_decode_misses += 1
+                else:
+                    self.payload_decode_hits += 1
+        finally:
+            if trace is not None:
+                trace.close_to(d0)
         return payload
 
     def _collect_values(self, cfg, servers, init_values) -> np.ndarray:

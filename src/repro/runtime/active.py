@@ -10,6 +10,14 @@ tunable false-positive rate, the bitmap answers it *exactly*: the skip
 set under selective scheduling is a superset of the bloom skip set, and
 the two differ only on bloom false positives.
 
+With selective scheduling on, the engine therefore never builds or
+probes a bloom filter.  A bloom has no false negatives, so it cannot
+skip a tile whose summary intersects the frontier; the one verdict the
+bitmap does not repeat — skip an *empty* tile when every vertex updated
+(the dense frontier the bitmap bypasses) — is read off the summary's
+emptiness.  Filters are built lazily, at run start, only for runs with
+selective scheduling off.
+
 Both prunes are conservative in the same direction — a skipped tile is
 one the full gather would have produced zero messages from — so turning
 either (or both) on never changes values, Counters, CacheStats, or fault
@@ -23,7 +31,7 @@ Two pieces:
 * :class:`TileSourceSummary` — a tile's source-vertex footprint: the
   ``[src_lo, src_hi]`` range plus the exact sorted source array.  Built
   once at setup from decoded tiles; ~8 B/distinct-source resident, the
-  same order as the bloom filters it rides next to.
+  same order as the bloom filters it stands in for.
 
 The membership test is two-stage: a searchsorted range rejection on the
 sorted updated array (cheap, catches the common case where a tile's
@@ -44,9 +52,9 @@ class ActiveBitmap:
     """The frontier: vertices updated in the previous superstep.
 
     ``dense`` is True when *every* vertex updated — the common first few
-    supersteps of PageRank-style programs — in which case no tile can be
-    skipped and callers should bypass per-tile probes entirely (mirrors
-    the ``ALL_KEYS`` fast path on the bloom side).
+    supersteps of PageRank-style programs — in which case only an empty
+    tile can be skipped and callers should bypass per-tile probes
+    entirely (mirrors the ``ALL_KEYS`` fast path on the bloom side).
     """
 
     __slots__ = ("num_vertices", "updated", "dense", "_bits")

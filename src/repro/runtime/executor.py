@@ -12,7 +12,7 @@ The contract that keeps this safe and bit-reproducible:
 
 * the mapped function touches only *its own* server's state (counters,
   cache, disk, vertex store) plus read-only shared structures (tile
-  assignments, bloom filters, the previous update set);
+  assignments, the superstep's parent-derived tile schedules);
 * anything cross-server (``Channel`` broadcasts, mailbox drains,
   convergence accounting) is staged in the returned value and applied
   *after* the join, in server-id order — identical to serial order;

@@ -167,7 +167,7 @@ class TilePrefetcher:
     """Bounded double-buffered pipeline over an explicit tile schedule.
 
     ``schedule`` is the exact ordered list of tiles the sweep will
-    process (bloom-skipped tiles already pruned, so skips cost zero
+    process (skipped tiles already pruned, so skips cost zero
     I/O).  Up to ``depth`` speculations are in flight at once on a pool
     of ``io_threads`` background threads; :meth:`__iter__` yields
     ``(item, hint, ready)`` in schedule order, where ``hint`` is the

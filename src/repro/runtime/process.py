@@ -2,16 +2,16 @@
 
 The thread executor (:class:`repro.runtime.executor.ParallelExecutor`)
 only overlaps the numpy regions that release the GIL; the pure-Python
-stretches of a per-server step (tile bookkeeping, bloom probes, payload
-encode, counter updates) still serialise.  This pool runs each simulated
+stretches of a per-server step (tile bookkeeping, payload encode,
+counter updates) still serialise.  This pool runs each simulated
 server's sweep in a real OS process instead, the same shared-memory
 multi-core shape GraphMP argues for on one machine.
 
 Design constraints that keep results bitwise identical to serial:
 
 * Workers are **forked after the engine's superstep state is built**, so
-  they inherit tile assignments, bloom filters, vertex stores (in shared
-  memory — see :mod:`repro.runtime.shm`) and the phase handler itself by
+  they inherit tile assignments, vertex stores (in shared memory — see
+  :mod:`repro.runtime.shm`) and the phase handler itself by
   address-space copy: nothing structural is pickled.
 * Server *i* is pinned to worker ``i % num_workers`` ("sticky" routing),
   so a server's mutable state (store slice, cache, counters) has exactly
@@ -19,8 +19,10 @@ Design constraints that keep results bitwise identical to serial:
 * :meth:`run_phase` dispatches one phase to all workers and returns
   results **in server-id order**; the parent applies all cross-server
   effects after the join, exactly like the serial schedule.
-* All nondeterministic decisions (fault injection, channel traffic) are
-  resolved in the parent; workers never see the injector.
+* All nondeterministic decisions (fault injection, channel traffic) and
+  every tile schedule are resolved in the parent; workers never see the
+  injector.  Only the compute phase runs in the pool: the apply phase
+  writes the shared vertex stores from the parent.
 
 The pool implements the :class:`~repro.runtime.executor.Executor`
 close/contextmanager contract so ``MPE.run``'s ``finally`` tears it down

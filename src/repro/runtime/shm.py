@@ -1,7 +1,7 @@
 """Shared-memory substrate for the process executor.
 
 The process runtime keeps every large array — vertex values, degree
-arrays, tile blobs, bloom bit arrays — in POSIX shared memory
+arrays, tile blobs — in POSIX shared memory
 (:mod:`multiprocessing.shared_memory`) created *before* the worker pool
 forks.  Workers inherit the mappings and operate on them zero-copy;
 per-superstep dispatch ships only small handles and compact results,
@@ -29,7 +29,6 @@ __all__ = [
     "SharedArray",
     "SharedBlobArena",
     "ArenaDisk",
-    "attach_segment",
     "outstanding_segments",
     "process_runtime_available",
     "segment_prefix",
@@ -117,36 +116,6 @@ class SharedArray:
     def __repr__(self) -> str:
         state = "released" if self.name not in _LIVE else "live"
         return f"SharedArray({self.name}, {state})"
-
-
-def attach_segment(name: str):
-    """Attach to an existing segment by name (worker side).
-
-    Per-superstep segments — the communication fast path's shared
-    inboxes — are created in the parent *after* the pool forked, so
-    workers cannot inherit the mapping and must attach by name instead.
-    The attachment is deliberately kept out of the ``_LIVE`` registry
-    and out of the resource tracker: the parent owns the segment's
-    lifetime (it registered at create and unregisters at unlink), so a
-    worker-side registration would double-unregister and spew tracker
-    KeyErrors.  Callers only ``close()`` the returned handle.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    try:
-        # Python >= 3.13 can opt out of tracking directly.
-        return shared_memory.SharedMemory(name=name, create=False, track=False)
-    except TypeError:
-        pass
-    # Older interpreters register every attach with the tracker;
-    # suppress that for the duration of the constructor.  Workers are
-    # single-threaded when they attach (the apply phase handler).
-    orig = resource_tracker.register
-    resource_tracker.register = lambda *a, **kw: None
-    try:
-        return shared_memory.SharedMemory(name=name, create=False)
-    finally:
-        resource_tracker.register = orig
 
 
 class SharedBlobArena:

@@ -4,7 +4,7 @@ GraphH's edge cache exists to amortise tile-load cost across
 supersteps (§IV-B); this engine amortises the whole cold start across
 *jobs*.  Registering a graph builds a :class:`repro.core.ClusterBuild`
 (cluster + SPE preprocessing), runs the engine's setup once (tile
-placement, bloom filters, source summaries, caches), and — on
+placement, source summaries, caches), and — on
 platforms with POSIX shared memory — relocates every tile blob into a
 long-lived :class:`repro.runtime.shm.SharedBlobArena` fronting each
 server's disk.  Every subsequent job reuses all of it: no cluster

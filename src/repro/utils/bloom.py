@@ -211,23 +211,6 @@ class BloomFilter:
                 return True
         return False
 
-    def export_bits(self) -> np.ndarray:
-        """The backing ``uint64`` bit array (for relocation; see
-        :meth:`adopt_bits`)."""
-        return self._bits
-
-    def adopt_bits(self, bits: np.ndarray) -> None:
-        """Swap the backing bit array for an equal-content replacement.
-
-        Used by the process runtime to relocate filter bits into (and
-        back out of) shared memory: the caller supplies an array with
-        identical shape/dtype/content whose storage it manages.  Probe
-        results are unchanged — only the bytes' address moves.
-        """
-        if bits.shape != self._bits.shape or bits.dtype != np.uint64:
-            raise ValueError("replacement bit array must match shape and dtype")
-        self._bits = bits
-
     def __repr__(self) -> str:
         return (
             f"BloomFilter(bits={self._num_bits}, hashes={self._num_hashes}, "

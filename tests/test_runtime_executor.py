@@ -807,6 +807,88 @@ class TestCommFastpath:
         assert runtime["payload_decode_hits"] == on.payload_decode_hits
         assert runtime["scatter_fallbacks"] == 0
 
+    def test_decode_telemetry_identical_across_executors(self, skewed):
+        """Hit/miss counts and the ``payload_decode`` spans are a function
+        of the run, not of the executor: the lowest-id receiver of each
+        payload records its miss under serial, thread and process alike,
+        however the threads or workers arrive."""
+        from repro.obs.trace import Tracer
+
+        executors = ["serial", "parallel"]
+        if process_runtime_available():
+            executors.append("process")
+        n = 3
+        counts, decode_events, apply_trees = {}, {}, {}
+        for executor in executors:
+            tracer = Tracer()
+            result, _ = _run(
+                skewed,
+                PageRank(),
+                MPEConfig(executor=executor),
+                max_supersteps=8,
+                tracer=tracer,
+            )
+            counts[executor] = (
+                result.num_supersteps,
+                result.payload_decode_hits,
+                result.payload_decode_misses,
+            )
+            decode_events[executor] = [
+                (buf.label, kind, args)
+                for buf in tracer.buffers()
+                for kind, name, _cat, _ts, args in buf.events()
+                if name == "payload_decode"
+            ]
+            apply_trees[executor] = {
+                label: [n.as_tuple() for n in nodes if n.name == "apply"]
+                for label, nodes in tracer.span_trees().items()
+            }
+        steps = counts["serial"][0]
+        assert counts["serial"] == (steps, steps * n * (n - 2), steps * n)
+        misses = [e for e in decode_events["serial"] if e[1] == "B"]
+        assert len(misses) == steps * n
+        for executor in executors[1:]:
+            assert counts[executor] == counts["serial"], executor
+            assert decode_events[executor] == decode_events["serial"], executor
+            assert apply_trees[executor] == apply_trees["serial"], executor
+
+    def test_decode_attribution_under_thread_contention(self, skewed):
+        """More threads than cores and a tiny switch interval: however the
+        apply threads interleave, each payload's miss stays with its
+        lowest-id receiver, in the counts and in every server's trace."""
+        import sys
+
+        from repro.obs.trace import Tracer
+
+        def decode_telemetry(executor):
+            tracer = Tracer()
+            result, cluster = run_graphh(
+                skewed,
+                PageRank(),
+                6,
+                config=MPEConfig(executor=executor, num_threads=8),
+                max_supersteps=6,
+                tracer=tracer,
+            )
+            cluster.close()
+            events = [
+                (buf.label, kind, args)
+                for buf in tracer.buffers()
+                for kind, name, _cat, _ts, args in buf.events()
+                if name == "payload_decode"
+            ]
+            hits, misses = result.payload_decode_hits, result.payload_decode_misses
+            return hits, misses, events
+
+        serial = decode_telemetry("serial")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert decode_telemetry("parallel") == serial
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_env_override_wins(self, skewed, monkeypatch):
         baseline = _run(
             skewed,

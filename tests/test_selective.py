@@ -10,8 +10,8 @@ The GraphMP-port invariants:
   approximate prune makes the same decisions as the exact one — with
   the default rate the bitmap legitimately skips *more* tiles, which is
   the point of the feature, but then skip counters differ by design.)
-* **No double accounting** — a tile the bitmap prunes is never probed
-  against its bloom filter; the bloom check only sees bitmap survivors.
+* **No double accounting** — with selective scheduling on, no tile is
+  probed against its bloom filter; the bitmap decides every skip.
 * **Fault-schedule stability** — skip decisions are frozen parent-side
   before dispatch, so chaos schedules replay identically whether the
   prune is on or off.
@@ -161,9 +161,154 @@ class TestNoDoubleProbe:
         assert skipped > 0
         assert sum(run_off[1]["skipped"]) == skipped
         # With an exact bloom the bitmap prunes exactly the tiles the
-        # bloom would have skipped — and those tiles must not have been
-        # probed at all, so the probe count drops by the skip count.
-        assert probes_off - probes_on == skipped
+        # bloom would have skipped — and with the bitmap deciding every
+        # skip, no bloom filter is probed at all.
+        assert probes_on == 0
+
+
+# ----------------------------------------------------------------------
+# Bloom lifecycle: filters exist only for runs that probe them
+# ----------------------------------------------------------------------
+@pytest.fixture
+def bloom_calls(monkeypatch):
+    """Count ``Tile.build_bloom_filter`` and ``BloomFilter.might_intersect``
+    calls in shared memory, so calls inside forked workers count too;
+    ``order`` records parent-side builds and pool forks in call order."""
+    import multiprocessing
+    from types import SimpleNamespace
+
+    from repro.partition.tiles import Tile
+    from repro.runtime.process import ProcessExecutor
+    from repro.utils.bloom import BloomFilter
+
+    for var in ("REPRO_SELECTIVE", "REPRO_TUNE"):
+        monkeypatch.delenv(var, raising=False)
+    counts = {"build": multiprocessing.Value("i", 0),
+              "probe": multiprocessing.Value("i", 0)}
+    order: list[str] = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            with counts[name].get_lock():
+                counts[name].value += 1
+            if name == "build":
+                order.append("build")
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    start = ProcessExecutor.start
+
+    def recording_start(self, *args, **kwargs):
+        order.append("fork")
+        return start(self, *args, **kwargs)
+
+    monkeypatch.setattr(
+        Tile, "build_bloom_filter", counted("build", Tile.build_bloom_filter)
+    )
+    monkeypatch.setattr(
+        BloomFilter,
+        "might_intersect",
+        counted("probe", BloomFilter.might_intersect),
+    )
+    monkeypatch.setattr(ProcessExecutor, "start", recording_start)
+
+    return SimpleNamespace(
+        builds=lambda: counts["build"].value,
+        probes=lambda: counts["probe"].value,
+        order=order,
+    )
+
+
+class TestBloomLifecycle:
+    @pytest.mark.parametrize("executor", ["serial", "parallel"])
+    def test_default_config_never_builds_or_probes(
+        self, skewed, bloom_calls, executor
+    ):
+        from repro.core import GraphH
+        from repro.delta import random_mutations
+
+        graphh = GraphH(num_servers=3, executor=executor, mutations=True)
+        try:
+            graphh.load_graph(skewed)
+            graphh.run(SSSP(source=1))
+            graphh.mutate(random_mutations(skewed, 20, 5, seed=4))
+            graphh.run(SSSP(source=1))
+            graphh.run(PageRank())  # dense frontiers
+        finally:
+            graphh.close()
+        assert bloom_calls.builds() == 0
+        assert bloom_calls.probes() == 0
+
+    @pytest.mark.parametrize(
+        "executor",
+        ["serial", "parallel", pytest.param("process", marks=needs_process)],
+    )
+    def test_selective_off_builds_each_filter_once_before_fork(
+        self, skewed, bloom_calls, executor
+    ):
+        cluster = Cluster(ClusterSpec(num_servers=3))
+        try:
+            manifest = SPE(cluster.dfs).preprocess(
+                skewed, max(1, skewed.num_edges // 144), name=skewed.name
+            )
+            mpe = MPE(
+                cluster,
+                manifest,
+                MPEConfig(
+                    selective_scheduling=False,
+                    executor=executor,
+                    max_supersteps=14,
+                ),
+            )
+            mpe.run(SSSP(source=1))
+            mpe.run(SSSP(source=2))
+        finally:
+            cluster.close()
+        assert bloom_calls.builds() == manifest.num_tiles
+        assert bloom_calls.probes() > 0
+        builds = [i for i, e in enumerate(bloom_calls.order) if e == "build"]
+        assert len(builds) == manifest.num_tiles  # all in the parent
+        if executor == "process":
+            assert "fork" in bloom_calls.order
+        if "fork" in bloom_calls.order:
+            assert builds[-1] < bloom_calls.order.index("fork")
+
+    def test_empty_tile_under_dense_frontier(self, bloom_calls):
+        """The bloom's one verdict the bitmap does not repeat: an empty
+        tile under a dense frontier is skipped exactly when filtering
+        is on — with selective scheduling deriving it without a filter."""
+        from repro.graph import Graph
+
+        rng = np.random.default_rng(12)
+        # Vertices 40..59 have no in-edges: the last tile is empty.
+        edges = np.stack(
+            [rng.integers(0, 60, 300), rng.integers(0, 40, 300)], axis=1
+        )
+        graph = Graph.from_edges(edges, num_vertices=60, name="empty-tile")
+        runs = {}
+        for selective in (True, False):
+            for bloom in (False, True):
+                runs[selective, bloom] = _run(
+                    graph,
+                    MPEConfig(
+                        selective_scheduling=selective,
+                        use_bloom_filters=bloom,
+                    ),
+                    program=PageRank(),
+                    max_supersteps=6,
+                )
+            if selective:
+                # Derived from the source summaries, not from a filter.
+                assert bloom_calls.builds() == bloom_calls.probes() == 0
+        assert bloom_calls.probes() > 0  # the selective-off bloom run
+        reference = runs[False, False][0].values
+        for (_selective, bloom), (result, telemetry) in runs.items():
+            # Superstep 0 updates every vertex, so superstep 1 runs
+            # under a dense frontier and only the empty tile can go.
+            assert result.supersteps[0].updated_vertices == 60
+            assert telemetry["skipped"][1] == (1 if bloom else 0)
+            assert np.array_equal(result.values, reference)
 
 
 # ----------------------------------------------------------------------
