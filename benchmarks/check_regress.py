@@ -3,9 +3,8 @@
 
 Re-runs the JSON-emitting benches (``bench_hotpath.py``, its
 ``--sweep`` mode, ``bench_comm.py``, ``bench_faults.py``,
-``bench_incremental.py``, ``bench_prefetch.py``, ``bench_scale.py``,
-``bench_service.py``, ``bench_tuning.py``) at the *baseline's own
-tier* and compares row by row:
+``bench_incremental.py``, ``bench_scale.py``, ``bench_service.py``) at
+the *baseline's own tier* and compares row by row:
 
 * **Wall-clock rows** (hotpath / procpool): fail when a fresh row's
   ``supersteps_per_s`` is more than ``--threshold`` (default 25%)
@@ -14,12 +13,12 @@ tier* and compares row by row:
   parallelism — matches the baseline's, so a 1-core container never
   "regresses" against a multi-core recording (or vice versa); mismatched
   rows are reported as skipped, not failed.
-* **Deterministic rows** (faults, incremental, scale, tuning):
+* **Deterministic rows** (faults, incremental, scale):
   re-executed
   supersteps, recovery bytes, checkpoint counts/bytes, restarts,
-  skipped-tile counts, metered disk bytes, the modeled job seconds,
-  and the autotuner's oracle gap / decision counts are executor- and
-  host-invariant, so they must match the baseline *exactly*.  Any
+  skipped-tile counts, metered disk bytes and the modeled job seconds
+  are executor- and host-invariant, so they must match the baseline
+  *exactly*.  Any
   drift is a correctness regression, whatever its sign.
 * **Mixed rows** (comm): wall-clock rows carry executor-invariant
   decode-count fields (``payload_decode_misses`` et al.) alongside the
@@ -85,12 +84,6 @@ BENCHMARKS = {
         ("checkpoint_every",),
         True,
     ),
-    "prefetch": (
-        "BENCH_prefetch.json",
-        ["bench_prefetch.py"],
-        ("config", "num_servers"),
-        False,
-    ),
     "scale": (
         "BENCH_scale.json",
         ["bench_scale.py"],
@@ -109,12 +102,6 @@ BENCHMARKS = {
         ("config",),
         False,
         "jobs_per_s",
-    ),
-    "tuning": (
-        "BENCH_tuning.json",
-        ["bench_tuning.py"],
-        ("config",),
-        True,
     ),
 }
 
@@ -145,11 +132,6 @@ _EXACT_KEYS = (
     "disk_read_bytes",
     "modeled_job_s",
     "converged",
-    "tuner_modeled_s",
-    "oracle_modeled_s",
-    "oracle_config",
-    "gap_vs_oracle",
-    "num_switches",
     "dirty_vertices",
     "reset_vertices",
     "forced_tiles",

@@ -85,21 +85,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "(default: one per core, capped)",
     )
     parser.add_argument(
-        "--prefetch-depth",
-        type=int,
-        default=0,
-        metavar="D",
-        help="tile prefetch pipeline depth (0 = off): overlap the next "
-        "tile's disk read + decompress + decode with compute",
-    )
-    parser.add_argument(
-        "--io-threads",
-        type=int,
-        default=1,
-        metavar="T",
-        help="background I/O threads per server feeding the pipeline",
-    )
-    parser.add_argument(
         "--selective",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -112,14 +97,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="mem",
         help="vertex replica backing: in-RAM arrays or file-backed "
         "memmaps (semi-external memory — scales past RAM)",
-    )
-    parser.add_argument(
-        "--tune",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="online autotuner: fit the cost model to the first "
-        "supersteps, then switch codec/comm/cache/prefetch knobs "
-        "mid-run at superstep boundaries (repro.tuning)",
     )
     parser.add_argument(
         "--comm-fastpath",
@@ -200,11 +177,8 @@ def _run(graph: Graph, program, args):
         checkpoint_every=args.checkpoint_every,
         executor=args.executor,
         num_workers=args.num_workers,
-        prefetch_depth=args.prefetch_depth,
-        io_threads=args.io_threads,
         selective_scheduling=args.selective,
         vertex_store=args.vertex_store,
-        tune=args.tune,
         comm_fastpath=args.comm_fastpath,
     )
     with GraphH(
@@ -223,19 +197,6 @@ def _run(graph: Graph, program, args):
             f"{program.name}: {result.num_supersteps} supersteps, "
             f"converged={result.converged}"
         )
-        if result.tuning:
-            switches = (result.tuning.get("plan") or {}).get(
-                "switch_supersteps", []
-            )
-            print(
-                "tuning: "
-                + (
-                    "switched knobs at superstep(s) "
-                    + ", ".join(str(s) for s in switches)
-                    if switches
-                    else "held the configured knobs"
-                )
-            )
         if args.trace_out:
             print(
                 f"wrote Chrome trace ({gh.tracer.total_events} events) "
@@ -298,11 +259,8 @@ def cmd_wcc(args) -> int:
         checkpoint_every=args.checkpoint_every,
         executor=args.executor,
         num_workers=args.num_workers,
-        prefetch_depth=args.prefetch_depth,
-        io_threads=args.io_threads,
         selective_scheduling=args.selective,
         vertex_store=args.vertex_store,
-        tune=args.tune,
         comm_fastpath=args.comm_fastpath,
     )
     with GraphH(
@@ -418,11 +376,8 @@ def cmd_chaos(args) -> int:
                 checkpoint_every=args.checkpoint_every,
                 executor=args.executor,
                 max_supersteps=args.max_supersteps,
-                prefetch_depth=args.prefetch_depth,
-                io_threads=args.io_threads,
                 selective_scheduling=args.selective,
                 vertex_store=args.vertex_store,
-                tune=args.tune,
                 comm_fastpath=args.comm_fastpath,
             ),
         )
@@ -514,11 +469,8 @@ def cmd_trace(args) -> int:
     config = MPEConfig(
         executor=args.executor,
         num_workers=args.num_workers,
-        prefetch_depth=args.prefetch_depth,
-        io_threads=args.io_threads,
         selective_scheduling=args.selective,
         vertex_store=args.vertex_store,
-        tune=args.tune,
         comm_fastpath=args.comm_fastpath,
     )
     with GraphH(
@@ -535,7 +487,6 @@ def cmd_trace(args) -> int:
             dataset=gh.manifest.name,
             program=program.name,
             num_servers=args.servers,
-            extra={"tuning": result.tuning} if result.tuning else None,
         )
         if args.metrics_out:
             write_prometheus(gh.tracer.metrics, args.metrics_out)
@@ -560,61 +511,6 @@ def cmd_trace(args) -> int:
                 f"wrote Chrome trace ({gh.tracer.total_events} events, "
                 f"validated) to {args.out}"
             )
-    return 0
-
-
-def cmd_tune(args) -> int:
-    """Run one algorithm under the online autotuner (``repro tune``).
-
-    Prints the Table-3 phase breakdown plus the tuning appendix —
-    fitted cost-model constants, fit residuals, and the per-superstep
-    decision trace — and optionally saves the run report JSON
-    (readable back with ``repro report``).
-    """
-    from repro.obs.report import (
-        build_run_report,
-        format_run_report,
-        save_run_report,
-    )
-
-    graph = _load(args.path)
-    if args.algorithm == "pagerank":
-        program = PageRank(damping=args.damping)
-    elif args.algorithm == "sssp":
-        program = SSSP(source=args.source)
-    elif args.algorithm == "bfs":
-        program = BFS(source=args.source)
-    else:
-        from repro.apps import WCC
-
-        graph = graph.to_undirected_edges()
-        program = WCC()
-
-    config = MPEConfig(
-        executor=args.executor,
-        num_workers=args.num_workers,
-        prefetch_depth=args.prefetch_depth,
-        io_threads=args.io_threads,
-        selective_scheduling=args.selective,
-        vertex_store=args.vertex_store,
-        tune=True,
-        comm_fastpath=args.comm_fastpath,
-    )
-    with GraphH(num_servers=args.servers, config=config) as gh:
-        gh.load_graph(graph, avg_tile_edges=args.tile_edges)
-        result = gh.run(program)
-        report = build_run_report(
-            result,
-            gh.cluster,
-            dataset=gh.manifest.name,
-            program=program.name,
-            num_servers=args.servers,
-            extra={"tuning": result.tuning},
-        )
-    if args.report_out:
-        save_run_report(report, args.report_out)
-        print(f"wrote run report to {args.report_out}")
-    print(format_run_report(report))
     return 0
 
 
@@ -726,11 +622,8 @@ def _submit_spec(args) -> dict:
     for knob in (
         "executor",
         "num_workers",
-        "prefetch_depth",
-        "io_threads",
         "selective",
         "vertex_store",
-        "tune",
         "incremental",
         "max_supersteps",
     ):
@@ -928,18 +821,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
     )
     t.add_argument("--num-workers", type=int, default=None, metavar="K")
-    t.add_argument("--prefetch-depth", type=int, default=0, metavar="D",
-                   help="tile prefetch pipeline depth (0 = off)")
-    t.add_argument("--io-threads", type=int, default=1, metavar="T",
-                   help="background I/O threads per server")
     t.add_argument("--selective", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="bitmap selective scheduling (GraphMP)")
     t.add_argument("--vertex-store", choices=("mem", "mmap"), default="mem",
                    help="vertex replica backing: RAM or file-backed memmaps")
-    t.add_argument("--tune", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="online autotuner (adds a tuning lane + report section)")
     t.add_argument("--comm-fastpath", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="decode-once communication fast path (bitwise "
@@ -955,38 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--report-out", default=None, metavar="JSON",
                    help="run report JSON (read back by `repro report`)")
     t.set_defaults(func=cmd_trace)
-
-    n = sub.add_parser(
-        "tune",
-        help="run with the online autotuner: fit the cost model, switch "
-        "knobs mid-run, print fitted constants + the decision trace",
-    )
-    n.add_argument("algorithm", choices=("pagerank", "sssp", "bfs", "wcc"))
-    n.add_argument("path")
-    n.add_argument("--servers", type=int, default=4, help="cluster width")
-    n.add_argument("--tile-edges", type=int, default=None)
-    n.add_argument("--damping", type=float, default=0.85)
-    n.add_argument("--source", type=int, default=0)
-    n.add_argument(
-        "--executor",
-        choices=("serial", "parallel", "process"),
-        default="serial",
-    )
-    n.add_argument("--num-workers", type=int, default=None, metavar="K")
-    n.add_argument("--prefetch-depth", type=int, default=0, metavar="D",
-                   help="starting pipeline depth (the tuner may change it)")
-    n.add_argument("--io-threads", type=int, default=1, metavar="T")
-    n.add_argument("--selective", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="bitmap selective scheduling (GraphMP)")
-    n.add_argument("--vertex-store", choices=("mem", "mmap"), default="mem")
-    n.add_argument("--comm-fastpath", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="decode-once communication fast path (bitwise "
-                   "identical; off exists for A/B benchmarking)")
-    n.add_argument("--report-out", default=None, metavar="JSON",
-                   help="run report JSON (read back by `repro report`)")
-    n.set_defaults(func=cmd_tune)
 
     q = sub.add_parser(
         "report", help="print a saved run report as a Table-3-style table"
@@ -1021,19 +875,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "parallel", "process"),
         default="serial",
     )
-    c.add_argument("--prefetch-depth", type=int, default=0, metavar="D",
-                   help="tile prefetch pipeline depth (0 = off)")
-    c.add_argument("--io-threads", type=int, default=1, metavar="T",
-                   help="background I/O threads per server")
     c.add_argument("--selective", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="bitmap selective scheduling (GraphMP)")
     c.add_argument("--vertex-store", choices=("mem", "mmap"), default="mem",
                    help="vertex replica backing: RAM or file-backed memmaps")
-    c.add_argument("--tune", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="online autotuner (decision trace replays across "
-                   "fault-recovery retries)")
     c.add_argument("--comm-fastpath", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="decode-once communication fast path (bitwise "
@@ -1114,15 +960,9 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--executor", choices=("serial", "parallel", "process"),
                    default=None)
     u.add_argument("--num-workers", type=int, default=None, metavar="K")
-    u.add_argument("--prefetch-depth", type=int, default=None, metavar="D")
-    u.add_argument("--io-threads", type=int, default=None, metavar="T")
     u.add_argument("--selective", action=argparse.BooleanOptionalAction,
                    default=None)
     u.add_argument("--vertex-store", choices=("mem", "mmap"), default=None)
-    u.add_argument("--tune", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="online autotuner (fitted constants persist on "
-                   "the warm engine across jobs)")
     u.add_argument("--incremental", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="restart from the graph's previous fixed point, "

@@ -237,11 +237,6 @@ class CounterSnapshot:
     compressed: dict[str, int]
     cache_hits: int
     cache_lookups: int
-    # Cache-side decompression total at capture time: lets consumers
-    # (the autotuner) split a codec's superstep bytes into the edge
-    # cache's share vs the message path's share when both use the same
-    # codec.
-    cache_bytes_decompressed: int = 0
     # Delta-overlay volumes (0 on non-evolving graphs; defaulted so
     # snapshots pickled by older worker code still unpickle).
     delta_bytes: int = 0
@@ -269,9 +264,6 @@ class CounterSnapshot:
             compressed=dict(c.compressed),
             cache_hits=cache.stats.hits if cache is not None else 0,
             cache_lookups=cache.stats.lookups if cache is not None else 0,
-            cache_bytes_decompressed=(
-                cache.stats.bytes_decompressed if cache is not None else 0
-            ),
         )
 
     def delta(self, server) -> Counters:

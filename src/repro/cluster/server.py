@@ -31,39 +31,12 @@ class Server:
         # engine when tracing is on; None in normal runs.  Single-writer:
         # only this server's executor thread / sticky worker records.
         self.trace: Any | None = None
-        # Separate buffer for the prefetch pipeline's background I/O
-        # threads (multi-writer safe: complete-events only, one atomic
-        # append each).  Installed alongside ``trace`` when tracing is
-        # on and prefetch is enabled.
-        self.prefetch_trace: Any | None = None
 
     def attach_cache(self, capacity_bytes: int, mode: int) -> EdgeCache:
         """Install an edge cache (replaces any existing one)."""
         self.cache = EdgeCache(capacity_bytes=capacity_bytes, mode=mode)
         self.cache.trace = self.trace
         return self.cache
-
-    def switch_cache_mode(self, mode: int) -> int:
-        """Switch the edge cache's mode mid-run, metering the work.
-
-        Resident entries are decompressed under the old codec and
-        re-admitted under the new one (:meth:`EdgeCache.switch_mode`);
-        the decompression is charged like the hit path — old-codec
-        bytes via ``add_decompressed``, nothing for raw mode 1 — and
-        the recompression is uncharged, matching the insert path.  The
-        cache memory gauge is refreshed.  Returns the uncompressed
-        bytes re-encoded (0 when there is no cache or no mode change).
-        """
-        cache = self.cache
-        if cache is None or cache.mode == mode:
-            return 0
-        old_mode = cache.mode
-        old_codec = cache.codec.name
-        raw_bytes = cache.switch_mode(mode)
-        if raw_bytes and old_mode != 1:
-            self.counters.add_decompressed(old_codec, raw_bytes)
-        self.counters.set_memory("cache", cache.used_bytes)
-        return raw_bytes
 
     def attach_decoded_cache(
         self, max_entries: int | None = None
@@ -73,21 +46,17 @@ class Server:
         self.decoded_cache.trace = self.trace
         return self.decoded_cache
 
-    def load_blob(self, name: str, prefetched: Any | None = None) -> bytes:
+    def load_blob(self, name: str) -> bytes:
         """Read a blob through the cache if present, metering everything.
 
         This is the §IV-B lookup path wired into the server's counters:
         disk traffic on a miss, decompression work on a compressed hit,
         and the cache's live size mirrored into the memory accounting.
-
-        ``prefetched`` (a :class:`repro.runtime.prefetch.PrefetchedLoad`)
-        only substitutes identical precomputed bytes for codec/disk
-        work; every decision and counter mutation still happens here.
         """
         before_read = self.disk.bytes_read
         if self.cache is not None:
             before_decomp = self.cache.stats.bytes_decompressed
-            data = self.cache.load(name, self.disk, prefetched)
+            data = self.cache.load(name, self.disk)
             decomp = self.cache.stats.bytes_decompressed - before_decomp
             if decomp and self.cache.mode != 1:
                 self.counters.add_decompressed(self.cache.codec.name, decomp)
@@ -95,19 +64,11 @@ class Server:
             # Cache misses are concurrent per-tile fetches — seek-bound.
             self.counters.disk_read_random += self.disk.bytes_read - before_read
         else:
-            if prefetched is not None and prefetched.raw is not None:
-                data = self.disk.read_cached(name, prefetched.raw)
-            else:
-                data = self.disk.read(name)
+            data = self.disk.read(name)
             self.counters.disk_read += self.disk.bytes_read - before_read
         return data
 
-    def load_tile(
-        self,
-        name: str,
-        parser: Callable[[bytes], Any],
-        prefetched: Any | None = None,
-    ) -> Any:
+    def load_tile(self, name: str, parser: Callable[[bytes], Any]) -> Any:
         """Load a blob and return it *decoded*, parsing at most once.
 
         The decoded-tile cache sits in front of :meth:`load_blob`, but
@@ -132,27 +93,21 @@ class Server:
         raise :class:`repro.faults.errors.DiskReadFault`.
         """
         if self.trace is None:
-            return self._load_tile(name, parser, prefetched)
+            return self._load_tile(name, parser)
         self.trace.begin("load", "io", blob=name)
         try:
-            return self._load_tile(name, parser, prefetched)
+            return self._load_tile(name, parser)
         finally:
             self.trace.end()
 
-    def _load_tile(
-        self,
-        name: str,
-        parser: Callable[[bytes], Any],
-        prefetched: Any | None = None,
-    ) -> Any:
+    def _load_tile(self, name: str, parser: Callable[[bytes], Any]) -> Any:
         """:meth:`load_tile` body (split so the traced path can wrap it
         in a span with exception-safe closing)."""
         if self.fault_injector is not None:
             self.fault_injector.on_tile_load(self, name)
         dcache = self.decoded_cache
         if dcache is None:
-            data = self.load_blob(name, prefetched)
-            return self._parse(data, parser, prefetched)
+            return parser(self.load_blob(name))
         entry = dcache.get(name)
         if entry is not None:
             obj, orig_len = entry
@@ -163,27 +118,12 @@ class Server:
                     )
                 self.counters.set_memory("cache", self.cache.used_bytes)
                 return obj
-            self.load_blob(name, prefetched)
+            self.load_blob(name)
             return obj
-        data = self.load_blob(name, prefetched)
-        obj = self._parse(data, parser, prefetched)
+        data = self.load_blob(name)
+        obj = parser(data)
         dcache.put(name, obj, len(data))
         return obj
-
-    @staticmethod
-    def _parse(
-        data: bytes, parser: Callable[[bytes], Any], prefetched: Any | None
-    ) -> Any:
-        """Parse ``data``, reusing a speculative decode only when it was
-        produced from this exact bytes object (parsing is a pure
-        function of the bytes, so the result is identical)."""
-        if (
-            prefetched is not None
-            and prefetched.decoded is not None
-            and prefetched.decoded_from is data
-        ):
-            return prefetched.decoded
-        return parser(data)
 
     def store_blob(self, name: str, data: bytes) -> None:
         """Write a blob to local disk, metering the transfer."""

@@ -160,12 +160,6 @@ class GraphH:
     num_workers:
         Process-pool width for ``executor="process"``; overlays
         ``config`` when given.
-    prefetch_depth:
-        Tile prefetch pipeline depth (0 = off); overlays ``config``
-        when given.  See :mod:`repro.runtime.prefetch`.
-    io_threads:
-        Background I/O threads per server feeding the pipeline;
-        overlays ``config`` when given.
     selective:
         GraphMP-style selective scheduling (exact active-vertex bitmap
         tile pruning); overlays ``config.selective_scheduling`` when
@@ -173,11 +167,6 @@ class GraphH:
     vertex_store:
         ``"mem"`` or ``"mmap"`` (semi-external-memory replica arrays);
         overlays ``config`` when given.
-    tune:
-        Online autotuner (:mod:`repro.tuning`): fit the cost model from
-        the first supersteps, then switch codec / comm / bloom / cache /
-        prefetch knobs at superstep boundaries.  Overlays
-        ``config.tune`` when given.
     comm_fastpath:
         Communication fast path (decode-once broadcast fan-out with
         batched apply).  On by default;
@@ -220,11 +209,8 @@ class GraphH:
         root: str | None = None,
         executor: str | None = None,
         num_workers: int | None = None,
-        prefetch_depth: int | None = None,
-        io_threads: int | None = None,
         selective: bool | None = None,
         vertex_store: str | None = None,
-        tune: bool | None = None,
         comm_fastpath: bool | None = None,
         mutations: bool | None = None,
         incremental: bool | None = None,
@@ -244,16 +230,10 @@ class GraphH:
             overrides["executor"] = executor
         if num_workers is not None:
             overrides["num_workers"] = num_workers
-        if prefetch_depth is not None:
-            overrides["prefetch_depth"] = prefetch_depth
-        if io_threads is not None:
-            overrides["io_threads"] = io_threads
         if selective is not None:
             overrides["selective_scheduling"] = selective
         if vertex_store is not None:
             overrides["vertex_store"] = vertex_store
-        if tune is not None:
-            overrides["tune"] = tune
         if comm_fastpath is not None:
             overrides["comm_fastpath"] = comm_fastpath
         if mutations is not None:

@@ -51,7 +51,7 @@ from repro.core.vertexstore import (
 from repro.delta.deltatiles import DeltaStore
 from repro.delta.incremental import build_plan
 from repro.delta.mutlog import MutationLog
-from repro.metrics.cost import CostModel, CostSample, SuperstepCost
+from repro.metrics.cost import CostModel, SuperstepCost
 from repro.metrics.schedule import effective_parallel_volume
 from repro.partition.tiles import (
     Tile,
@@ -66,7 +66,6 @@ from repro.runtime import (
 from repro.runtime.active import ActiveBitmap, TileSourceSummary
 from repro.storage.backing import BackingStore
 from repro.storage.cache import cache_plan
-from repro.tuning import KnobSettings, Tuner, TuningSample
 from repro.utils.bloom import ALL_KEYS, BloomFilter, HashedKeys, hash_keys
 from repro.utils.segments import merge_sorted_unique, segment_reduce
 
@@ -119,14 +118,10 @@ class MPEConfig:
     decoded_cache: bool = True
     # LRU bound on live decoded tiles per server (None → all of them).
     decoded_cache_entries: int | None = None
-    # Tile prefetch pipeline (repro.runtime.prefetch): how many tiles
-    # ahead background I/O threads speculate while compute gathers the
-    # current one.  0 (default) disables the pipeline entirely; results
-    # and metering are bitwise identical at every depth.  The
-    # REPRO_PREFETCH environment variable overrides the depth at run
-    # time (CI's forcing flag).
+    # Retired fields, kept only so configs that spell out every field
+    # keep constructing: the background tile-loading pipeline they sized
+    # was removed (DESIGN.md §5e).  Any value but the default raises.
     prefetch_depth: int = 0
-    # Background I/O threads per server feeding the pipeline.
     io_threads: int = 1
     # Where the per-server vertex replica arrays live: "mem" (dense
     # in-RAM arrays, the default) or "mmap" (GraphMP's semi-external-
@@ -150,12 +145,7 @@ class MPEConfig:
     # is bitwise-equal to from-scratch on the mutated graph; PageRank
     # agrees to its convergence tolerance (DESIGN.md §5i).
     incremental: bool = False
-    # Online autotuner (repro.tuning): record per-phase volumes over the
-    # first supersteps, fit the cost-model constants, then re-evaluate
-    # codec / comm / bloom / cache / prefetch at every superstep
-    # boundary.  Off (the default) is bitwise identical to an engine
-    # without the tuner.  The REPRO_TUNE environment variable overrides
-    # this at run time (CI's forcing flag).
+    # Retired the same way: the online autotuner was removed.
     tune: bool = False
     # Communication fast path (decode-once broadcast fan-out): decode
     # each broadcast payload once per superstep and share the immutable
@@ -192,10 +182,17 @@ class MPEConfig:
             raise ValueError("num_workers must be >= 1 or None")
         if self.decoded_cache_entries is not None and self.decoded_cache_entries < 1:
             raise ValueError("decoded_cache_entries must be >= 1 or None")
-        if self.prefetch_depth < 0:
-            raise ValueError("prefetch_depth must be >= 0")
-        if self.io_threads < 1:
-            raise ValueError("io_threads must be >= 1")
+        for name, default, mechanism in (
+            ("prefetch_depth", 0, "tile prefetch pipeline"),
+            ("io_threads", 1, "tile prefetch pipeline"),
+            ("tune", False, "online autotuner"),
+        ):
+            value = getattr(self, name)
+            if value != default:
+                raise ValueError(
+                    f"{name}={value!r}: the {mechanism} was removed; "
+                    f"only {name}={default!r} is accepted"
+                )
         if self.vertex_store not in ("mem", "mmap"):
             raise ValueError('vertex_store must be "mem" or "mmap"')
         if self.incremental and not self.mutations:
@@ -240,16 +237,10 @@ class RunResult:
     payload_decode_hits: int = 0
     payload_decode_misses: int = 0
     scatter_fallbacks: int = 0
-    # Effective tile-prefetch pipeline depth this run executed with
-    # (0 = pipeline off; REPRO_PREFETCH overrides already applied).
-    prefetch_depth: int = 0
     # Whether bitmap selective scheduling was active (REPRO_SELECTIVE
     # override already applied) and which vertex-store backing ran.
     selective: bool = False
     vertex_store: str = "mem"
-    # Autotuner summary (fitted constants, residuals, decision trace)
-    # when the run was tuned or consumed a scripted plan; None otherwise.
-    tuning: dict | None = None
     # Evolving-graph summary (repro.delta): the delta store's state plus
     # — on incremental runs — the plan stats (dirty/reset/forced sizes).
     # None when the mutation subsystem is off.
@@ -270,7 +261,6 @@ class RunResult:
             "payload_decode_hits": self.payload_decode_hits,
             "payload_decode_misses": self.payload_decode_misses,
             "scatter_fallbacks": self.scatter_fallbacks,
-            "prefetch_depth": self.prefetch_depth,
             "selective": self.selective,
             "vertex_store": self.vertex_store,
         }
@@ -301,7 +291,6 @@ class RunResult:
                     "probe": s.modeled.probe_s,
                     "delta": s.modeled.delta_s,
                     "total": s.modeled.total_s,
-                    "overlap": s.modeled.overlap_s,
                 }
             out.append(row)
         return out
@@ -316,8 +305,6 @@ class RunResult:
             "runtime": self.runtime(),
             "supersteps": self.trace(),
         }
-        if self.tuning is not None:
-            out["tuning"] = self.tuning
         if self.delta is not None:
             out["delta"] = self.delta
         with open(path, "w", encoding="utf-8") as fh:
@@ -334,19 +321,6 @@ class RunResult:
         steps = self.supersteps[1:] if skip_first and len(self.supersteps) > 1 else self.supersteps
         vals = [s.modeled.total_s for s in steps if s.modeled]
         if not vals:  # zero supersteps, or none carried modeled costs
-            return 0.0
-        return float(np.mean(vals))
-
-    def avg_superstep_overlap_s(self, skip_first: bool = True) -> float:
-        """Overlap-aware sibling of :meth:`avg_superstep_modeled_s`:
-        mean modeled time under the max(io, compute) pipelining rule."""
-        steps = self.supersteps[1:] if skip_first and len(self.supersteps) > 1 else self.supersteps
-        vals = [
-            s.modeled.overlap_s
-            for s in steps
-            if s.modeled is not None and s.modeled.overlap_s is not None
-        ]
-        if not vals:
             return 0.0
         return float(np.mean(vals))
 
@@ -370,30 +344,11 @@ class MPE:
         # site reduces to one is-None check.
         self.tracer = tracer
         self._obs_wall = None
-        self._obs_prefetch = None
         self._obs_skipped = None
         self._obs_scheduled = None
-        # Effective prefetch knobs for the current run; re-resolved at
-        # the top of run() (REPRO_PREFETCH override) *before* tracer
-        # wiring and before the process pool forks, so workers inherit
-        # the resolved values.
-        self._prefetch_depth = self.config.prefetch_depth
-        self._io_threads = self.config.io_threads
         # Effective selective-scheduling flag; re-resolved at the top of
         # run() (REPRO_SELECTIVE override) before setup builds summaries.
         self._selective = self.config.selective_scheduling
-        # Effective autotuning flag (REPRO_TUNE override applied at the
-        # top of run()), the tuner carrying fitted constants across runs
-        # (a warm service engine reuses them job to job), an externally
-        # installed scripted TuningPlan (tests/ablations — consulted
-        # even with tuning off; never written by the tuner), and the
-        # knobs currently in force.  ``_knobs`` is always concrete: an
-        # untuned run holds the config's values for the whole run, so
-        # every knob read below is tune-agnostic.
-        self._tune = self.config.tune
-        self.tuner: Tuner | None = None
-        self.tuning_plan = None
-        self._knobs = self._base_knobs()
         # Per-tile exact source summaries (tile_id -> TileSourceSummary)
         # backing the bitmap prune; built at setup when selective
         # scheduling is on, lazily backfilled if the env override turns
@@ -406,9 +361,8 @@ class MPE:
         # the decode callback every metered tile load funnels through:
         # the plain Tile.from_bytes on frozen graphs, swapped for a
         # compose-overlay-on-parse closure when the mutation subsystem
-        # is on (same object everywhere in one engine, so prefetch
-        # speculation identity checks keep holding; forked workers
-        # inherit the closure and the live overlay dict by address).
+        # is on (forked workers inherit the closure and the live
+        # overlay dict by address).
         self._delta: DeltaStore | None = None
         self.mutation_log: MutationLog | None = None
         # program name -> (converged values, delta-store watermark at
@@ -481,24 +435,9 @@ class MPE:
         traced runs clean again.
         """
         tracer = self.tracer
-        # A tuned (or scripted) run may switch the pipeline on mid-run;
-        # its buffers must exist before the process pool forks.
-        prefetch_on = (
-            self._prefetch_depth > 0
-            or self._tune
-            or self.tuning_plan is not None
-        )
         for server in self.cluster.servers:
             buf = tracer.server(server.server_id) if tracer is not None else None
             server.trace = buf
-            # The prefetch pipeline's I/O threads get their own buffer
-            # (complete-events only, multi-writer safe) — created only
-            # when the pipeline is on, so depth-0 traces are unchanged.
-            server.prefetch_trace = (
-                tracer.prefetch(server.server_id)
-                if tracer is not None and prefetch_on
-                else None
-            )
             if server.cache is not None:
                 server.cache.trace = buf
             if server.decoded_cache is not None:
@@ -520,15 +459,6 @@ class MPE:
                 "host wall time per superstep",
                 buckets=DEFAULT_SECONDS_BUCKETS,
             ).labels()
-            self._obs_prefetch = (
-                tracer.metrics.gauge(
-                    "repro_prefetch_occupancy",
-                    "fraction of tile dequeues served without stalling",
-                    ("server",),
-                )
-                if prefetch_on
-                else None
-            )
             self._obs_skipped = tracer.metrics.counter(
                 "repro_tiles_skipped",
                 "tiles pruned from the schedule (bitmap or bloom)",
@@ -548,7 +478,6 @@ class MPE:
         else:
             self.channel.obs_bytes = None
             self._obs_wall = None
-            self._obs_prefetch = None
             self._obs_skipped = None
             self._obs_scheduled = None
             self._obs_decode_hits = None
@@ -669,17 +598,13 @@ class MPE:
             write_checkpoint,
         )
 
-        # Resolve the pipeline knobs first: tracer wiring keys off the
-        # effective depth, and the process pool's forked workers inherit
-        # these fields by value.
-        self._prefetch_depth, self._io_threads = self._resolve_prefetch()
+        # Resolve the env overrides first: the process pool's forked
+        # workers inherit these fields by value.
         self._selective = self._resolve_selective()
-        self._tune = self._resolve_tune()
         self._comm_fastpath = self._resolve_comm_fastpath()
         self.payload_decode_hits = 0
         self.payload_decode_misses = 0
         self.scatter_fallbacks = 0
-        self._knobs = self._base_knobs()
         self._wire_tracer()
         ebuf = self.tracer.engine() if self.tracer is not None else None
         if ebuf is not None:
@@ -693,39 +618,13 @@ class MPE:
         # on (it is idempotent); backfill the source summaries from the
         # already-fetched blobs, unmetered (host-side schedule state).
         self._ensure_summaries()
-        # --- autotuning (repro.tuning) --------------------------------
-        # An externally scripted plan wins (tests/ablations force known
-        # switches); otherwise a tuned run builds/continues the tuner's
-        # recorded plan.  Both are consulted only at superstep
-        # boundaries, parent-side, so every executor and fault replay
-        # consumes the identical decision trace.
-        tuner: Tuner | None = None
-        plan = self.tuning_plan
-        if plan is None and self._tune:
-            if self.tuner is None:
-                self.tuner = Tuner()
-            tuner = self.tuner
-            plan = tuner.begin_run(
-                self._tuning_signature(program), self._base_knobs()
-            )
-        tbuf = (
-            self.tracer.tuning()
-            if self.tracer is not None and plan is not None
-            else None
-        )
-        if tbuf is not None:
-            tbuf.instant(
-                "tuning_start",
-                "tuning",
-                mode="tuner" if tuner is not None else "scripted",
-            )
-        # The one predicate deciding whether this run may probe bloom
+        # The one predicate deciding whether this run probes bloom
         # filters: selective scheduling off (the exact bitmap otherwise
-        # decides every skip) and filtering possible — configured on,
-        # or switchable by the tuner or a scripted plan.  Only then are
-        # the filters built, here in the parent, before any pool forks.
-        self._bloom_probing = not self._selective and (
-            self.config.use_bloom_filters or plan is not None
+        # decides every skip) and filtering configured on.  Only then
+        # are the filters built, here in the parent, before any pool
+        # forks.
+        self._bloom_probing = (
+            not self._selective and self.config.use_bloom_filters
         )
         if self._bloom_probing:
             self._ensure_blooms()
@@ -957,18 +856,6 @@ class MPE:
                 before = {
                     s.server_id: CounterSnapshot.capture(s) for s in servers
                 }
-                # Consult the plan *after* the snapshots: a serial/thread
-                # cache-mode switch is charged on the parent's counters
-                # and must land inside this superstep's deltas, exactly
-                # where a worker-side switch lands in process mode.
-                if plan is not None:
-                    self._apply_knobs(
-                        self._superstep_knobs(superstep, tuner, plan),
-                        servers,
-                        use_process,
-                        superstep,
-                        tbuf,
-                    )
                 tiles_processed = 0
                 tiles_skipped = 0
                 message_modes: list[int] = []
@@ -984,8 +871,8 @@ class MPE:
                 if ebuf is not None:
                     ebuf.begin("compute", "phase")
                 # The superstep's tile schedules, derived once, parent-side:
-                # every executor's sweep, the fault replay and the tuner's
-                # byte estimate all read these same lists.
+                # every executor's sweep and the fault replay read these
+                # same lists.
                 bitmap = self._frontier(prev_updated, num_vertices)
                 prev_hashed = self._hashed_updates(prev_updated, num_vertices)
                 schedules = [
@@ -1015,13 +902,6 @@ class MPE:
                     tiles_processed += step.tiles_processed
                     tiles_skipped += step.tiles_skipped
                     self.sort_fallbacks += step.sort_fallbacks
-                    if (
-                        self._obs_prefetch is not None
-                        and step.prefetch_total > 0
-                    ):
-                        self._obs_prefetch.labels(
-                            server=server.server_id
-                        ).set(step.prefetch_ready / step.prefetch_total)
                     all_updates.append((step.ids, step.vals))
                     if step.payload is not None:
                         message_modes.append(step.payload[0])
@@ -1114,23 +994,6 @@ class MPE:
                 if self._obs_decode_hits is not None:
                     self._obs_decode_hits.set(self.payload_decode_hits)
                     self._obs_decode_misses.set(self.payload_decode_misses)
-                if tuner is not None:
-                    self._observe_tuning(
-                        tuner,
-                        superstep,
-                        step_deltas,
-                        before,
-                        step_cost,
-                        reports[-1],
-                        cost_model,
-                        num_vertices,
-                        servers,
-                        [
-                            sum(nbytes for _tid, _name, nbytes in loads)
-                            for loads, _skips in schedules
-                        ],
-                        tbuf,
-                    )
                 if ebuf is not None:
                     ebuf.end()  # account
                 if (
@@ -1202,14 +1065,8 @@ class MPE:
             payload_decode_hits=self.payload_decode_hits,
             payload_decode_misses=self.payload_decode_misses,
             scatter_fallbacks=self.scatter_fallbacks,
-            prefetch_depth=self._prefetch_depth,
             selective=self._selective,
             vertex_store=cfg.vertex_store,
-            tuning=(
-                tuner.report()
-                if tuner is not None
-                else {"plan": plan.to_dict()} if plan is not None else None
-            ),
             delta=(
                 {
                     "incremental": incremental_plan is not None,
@@ -1265,8 +1122,8 @@ class MPE:
         """The overlay-composing tile parser.
 
         Keyed by the *parsed* tile's id — no blob-name plumbing — so
-        every decode site (sweep, prefetch speculation, cache resync,
-        summary/bloom backfill) composes identically.  The closure
+        every decode site (sweep, cache resync, summary/bloom backfill)
+        composes identically.  The closure
         holds the live DeltaStore: forked workers inherit the overlay
         dict by address, and tiles without a pending overlay parse at
         exactly the base cost.
@@ -1497,31 +1354,11 @@ class MPE:
             name = "parallel"
         return name, num_workers
 
-    def _resolve_prefetch(self) -> tuple[int, int]:
-        """Resolve this run's prefetch depth and I/O thread count.
-
-        ``REPRO_PREFETCH`` (CI's forcing flag) overrides the configured
-        depth; the I/O thread count always comes from the config.
-        """
-        cfg = self.config
-        raw = os.environ.get("REPRO_PREFETCH", "").strip()
-        if not raw:
-            return cfg.prefetch_depth, cfg.io_threads
-        try:
-            depth = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_PREFETCH must be an integer depth, got {raw!r}"
-            ) from None
-        if depth < 0:
-            raise ValueError("REPRO_PREFETCH must be >= 0")
-        return depth, cfg.io_threads
-
     def _resolve_selective(self) -> bool:
         """Resolve this run's selective-scheduling flag.
 
         ``REPRO_SELECTIVE`` (CI's forcing flag, mirroring
-        ``REPRO_PREFETCH``/``REPRO_EXECUTOR``) overrides the config.
+        ``REPRO_EXECUTOR``) overrides the config.
         """
         raw = os.environ.get("REPRO_SELECTIVE", "").strip().lower()
         if not raw:
@@ -1534,26 +1371,11 @@ class MPE:
             f"REPRO_SELECTIVE must be a boolean flag, got {raw!r}"
         )
 
-    def _resolve_tune(self) -> bool:
-        """Resolve this run's autotuning flag.
-
-        ``REPRO_TUNE`` (CI's forcing flag, mirroring
-        ``REPRO_SELECTIVE``/``REPRO_EXECUTOR``) overrides the config.
-        """
-        raw = os.environ.get("REPRO_TUNE", "").strip().lower()
-        if not raw:
-            return self.config.tune
-        if raw in ("1", "true", "on", "yes"):
-            return True
-        if raw in ("0", "false", "off", "no"):
-            return False
-        raise ValueError(f"REPRO_TUNE must be a boolean flag, got {raw!r}")
-
     def _resolve_comm_fastpath(self) -> bool:
         """Resolve this run's communication-fast-path flag.
 
-        ``REPRO_COMM_FASTPATH`` (mirroring ``REPRO_TUNE`` /
-        ``REPRO_SELECTIVE``) overrides the config.  Both settings are
+        ``REPRO_COMM_FASTPATH`` (mirroring ``REPRO_SELECTIVE``)
+        overrides the config.  Both settings are
         bitwise identical in results and metering; off exists only for
         the A/B comparison in ``benchmarks/bench_comm.py``.
         """
@@ -1567,94 +1389,6 @@ class MPE:
         raise ValueError(
             f"REPRO_COMM_FASTPATH must be a boolean flag, got {raw!r}"
         )
-
-    # ------------------------------------------------------------------
-    # Autotuning (repro.tuning)
-    # ------------------------------------------------------------------
-    def _base_knobs(self) -> KnobSettings:
-        """The configured knob values as one concrete settings object —
-        what every superstep of an untuned run executes, and the
-        tuner's starting point."""
-        cfg = self.config
-        return KnobSettings(
-            message_codec=cfg.message_codec,
-            comm_mode=cfg.comm_mode,
-            use_bloom=cfg.use_bloom_filters,
-            prefetch_depth=self._prefetch_depth,
-            io_threads=self._io_threads,
-            cache_mode=None,
-        )
-
-    def _tuning_signature(self, program) -> tuple:
-        """What makes two runs "the same run" to the tuner: identical
-        signature → the recorded plan replays (fault retry, identical
-        resubmission); different → new plan, constants kept."""
-        return (
-            self.manifest.name,
-            program.name,
-            self.config,
-            self._selective,
-            self._prefetch_depth,
-            self._io_threads,
-        )
-
-    def _superstep_knobs(self, superstep, tuner, plan) -> KnobSettings:
-        """Resolve the knobs governing ``superstep`` (parent-side, the
-        single decision point).  The tuner records as it decides;
-        scripted plans answer from their sticky map.  A forced
-        ``REPRO_PREFETCH`` depth pins the pipeline knobs — CI forces a
-        depth precisely to exercise it, so decisions must not un-force
-        it."""
-        if tuner is not None:
-            knobs = tuner.knobs_for(superstep)
-        else:
-            knobs = plan.knobs_for(superstep) or self._knobs.replace(
-                cache_mode=None
-            )
-        if os.environ.get("REPRO_PREFETCH", "").strip():
-            knobs = knobs.replace(
-                prefetch_depth=self._prefetch_depth,
-                io_threads=self._io_threads,
-            )
-        return knobs
-
-    def _apply_knobs(
-        self, knobs: KnobSettings, servers, use_process: bool, superstep, tbuf
-    ) -> None:
-        """Put ``knobs`` into force for this superstep.
-
-        Cache-mode switches are executor-split: serial/thread runs
-        switch the parent's (authoritative) caches with metering; in
-        process mode the workers own the live contents and meter their
-        own switch inside the compute handler, so the parent only
-        re-aligns its mirror's *mode* silently (stats are mirrored back
-        absolutely every superstep, and the end-of-run content resync
-        must recompress with the worker's final codec).
-        """
-        switched = knobs != self._knobs
-        if knobs.cache_mode is not None:
-            for server in servers:
-                if server.cache is None:
-                    continue
-                if server.cache.mode != knobs.cache_mode:
-                    switched = True
-                if use_process:
-                    server.cache.switch_mode(knobs.cache_mode)
-                else:
-                    server.switch_cache_mode(knobs.cache_mode)
-        if tbuf is not None and switched:
-            tbuf.instant(
-                "knob_switch",
-                "tuning",
-                superstep=superstep,
-                message_codec=knobs.message_codec,
-                comm_mode=knobs.comm_mode,
-                use_bloom=knobs.use_bloom,
-                prefetch_depth=knobs.prefetch_depth,
-                io_threads=knobs.io_threads,
-                cache_mode=knobs.cache_mode,
-            )
-        self._knobs = knobs
 
     def _ensure_blooms(self) -> None:
         """Build every missing bloom filter from the fetched blobs (host
@@ -1675,76 +1409,6 @@ class MPE:
                     self._blooms[tile_id] = tile.build_bloom_filter(
                         self.config.bloom_false_positive_rate
                     )
-
-    def _observe_tuning(
-        self,
-        tuner,
-        superstep,
-        step_deltas,
-        before,
-        step_cost,
-        report,
-        cost_model,
-        num_vertices,
-        servers,
-        sched_bytes,
-        tbuf,
-    ) -> None:
-        """Feed one finished superstep to the tuner.
-
-        The fit row follows the cost model's straggler attribution;
-        the default (deterministic) observation is the modeled superstep
-        seconds minus injected fault delay, so faults perturb neither
-        the fit nor the decision trace.
-        """
-        knobs = self._knobs
-        straggler = cost_model.straggler_index(step_deltas)
-        observed = (
-            report.wall_s
-            if tuner.config.time_source == "wall"
-            else step_cost.total_s - step_cost.fault_s
-        )
-        cost = CostSample.from_deltas(step_deltas, observed, straggler)
-        # Message-path codec bytes on the straggler: its total codec
-        # volume minus the edge cache's share when cache and message
-        # path share a codec.
-        d = step_deltas[straggler]
-        sserver = servers[straggler]
-        mc = knobs.message_codec
-        msg_bytes = d.decompressed.get(mc, 0) + d.compressed.get(mc, 0)
-        cache = sserver.cache
-        if cache is not None and cache.mode != 1 and cache.codec.name == mc:
-            snap = before[sserver.server_id]
-            msg_bytes -= (
-                cache.stats.bytes_decompressed - snap.cache_bytes_decompressed
-            )
-        tuner.observe(
-            TuningSample(
-                superstep=superstep,
-                knobs=knobs,
-                cost=cost,
-                msg_codec_bytes=max(0, int(msg_bytes)),
-                updated=report.updated_vertices,
-                num_vertices=num_vertices,
-                tiles_processed=report.tiles_processed,
-                tiles_skipped=report.tiles_skipped,
-                scheduled_bytes=sched_bytes[straggler],
-                miss_bytes=int(d.disk_read_random),
-                cache_mode=cache.mode if cache is not None else 1,
-                cache_capacity=(
-                    cache.capacity_bytes if cache is not None else 0
-                ),
-                cache_used=int(sserver.counters.mem_cache),
-                hit_ratio=report.cache_hit_ratio,
-            )
-        )
-        if tbuf is not None and tuner.fit_superstep == superstep:
-            tbuf.instant(
-                "fit",
-                "tuning",
-                superstep=superstep,
-                num_samples=len(tuner.samples),
-            )
 
     # ------------------------------------------------------------------
     # Selective scheduling (repro.runtime.active; GraphMP port)
@@ -1794,7 +1458,7 @@ class MPE:
         probes filters at all: under selective scheduling every bitmap
         survivor has an updated source, so the bloom could never skip it.
         """
-        if not self._knobs.use_bloom or prev_updated is None:
+        if not self.config.use_bloom_filters or prev_updated is None:
             return None
         if prev_updated.size == num_vertices:
             return ALL_KEYS
@@ -1818,8 +1482,8 @@ class MPE:
         forced by an incremental seed superstep are exempt from both.
 
         Derived parent-side, so the sweep's counters and ``tile_skip``
-        instants, the fault replay's first load and the tuner's byte
-        estimate agree under every executor.
+        instants and the fault replay's first load agree under every
+        executor.
         """
         forced = (
             self._forced_tiles
@@ -1858,7 +1522,7 @@ class MPE:
         stores already are (built as ``Shared*`` variants), and here all
         tile blobs join them (one read-only arena fronting each server's
         disk with unchanged metering).  Per-superstep dispatch then
-        ships only ``(superstep, schedule, knobs)`` down and compact
+        ships only ``(superstep, schedule)`` down and compact
         :class:`_ProcessStep` results back.  Teardown actions are pushed
         onto ``cleanup`` (run LIFO by ``run``'s finally).
         """
@@ -1940,15 +1604,7 @@ class MPE:
         server = self.cluster.servers[server_id]
         snap = CounterSnapshot.capture(server)
         if tag == "compute":
-            superstep, schedule, knob_tuple = payload
-            # The parent's per-superstep knob decision, applied *after*
-            # the snapshot so a cache-mode switch's metering lands in
-            # this superstep's delta — same instant as serial.  The
-            # switch itself is idempotent per server (sticky workers see
-            # the same directive again next superstep, a no-op).
-            self._knobs = KnobSettings.from_tuple(knob_tuple)
-            if self._knobs.cache_mode is not None:
-                server.switch_cache_mode(self._knobs.cache_mode)
+            superstep, schedule = payload
             step = self._compute_server_step(
                 self._run_program, server, superstep, schedule
             )
@@ -2003,13 +1659,6 @@ class MPE:
                     if server.trace is not None
                     else None
                 ),
-                prefetch_trace=(
-                    tuple(server.prefetch_trace.drain())
-                    if server.prefetch_trace is not None
-                    else None
-                ),
-                prefetch_ready=step.prefetch_ready,
-                prefetch_total=step.prefetch_total,
             )
         raise ValueError(f"unknown phase {tag!r}")
 
@@ -2019,10 +1668,8 @@ class MPE:
         """Parent-side compute dispatch for the process executor."""
         if self.injector is not None:
             self._resolve_compute_faults(servers, superstep, schedules)
-        knobs = self._knobs.as_tuple()
         steps = executor.run_phase(
-            "compute",
-            [(superstep, schedules[s.server_id], knobs) for s in servers],
+            "compute", [(superstep, schedules[s.server_id]) for s in servers]
         )
         for server, step in zip(servers, steps):
             self._merge_worker_step(server, step)
@@ -2103,8 +1750,6 @@ class MPE:
             # here in server-id order, so the per-buffer sequence is the
             # one a serial run would have recorded.
             self.tracer.server(server.server_id).extend(step.trace)
-        if step.prefetch_trace and self.tracer is not None:
-            self.tracer.prefetch(server.server_id).extend(step.prefetch_trace)
 
     def _resync_parent_caches(self) -> None:
         """Rebuild parent-side cache *contents* from the workers' final
@@ -2181,7 +1826,6 @@ class MPE:
         """:meth:`_compute_server_step` body (split so the traced path
         can wrap it in an exception-safe span)."""
         cfg = self.config
-        knobs = self._knobs
         trace = server.trace
         if self.injector is not None:
             self.injector.on_compute(server)
@@ -2191,8 +1835,8 @@ class MPE:
         tile_edge_counts: list[int] = []
         tiles_processed = 0
         sort_fallbacks = 0
-        # Explicit schedule: all skips were resolved before anything is
-        # enqueued, so a skipped tile costs the pipeline zero I/O.
+        # Explicit schedule: all skips were resolved parent-side, so a
+        # skipped tile costs zero I/O.
         loads, skips = schedule
         tiles_skipped = len(skips)
         server.counters.tiles_skipped += tiles_skipped
@@ -2202,13 +1846,12 @@ class MPE:
                     "tile_skip", "schedule", tile=tile_id, reason=reason
                 )
 
-        def run_tile(
-            tile_id: int, blob_name: str, nbytes: int, prefetched=None
-        ) -> None:
-            nonlocal tiles_processed
+        for tile_id, blob_name, nbytes in loads:
             if trace is not None:
                 trace.begin("tile", "compute", tile=tile_id)
-            tile = self._load_decoded_tile(server, blob_name, prefetched)
+            # The single metered tile-load path: cache/disk accounting,
+            # fault injection and decode all funnel through it.
+            tile = server.load_tile(blob_name, self._tile_parser)
             if self._delta is not None:
                 # Overlay composition work: charged per *scheduled*
                 # overlaid tile, whether or not the decoded cache
@@ -2233,37 +1876,6 @@ class MPE:
             if ids.size:
                 changed_ids_parts.append(ids)
                 changed_vals_parts.append(vals)
-
-        prefetch_ready = 0
-        prefetch_total = 0
-        if knobs.prefetch_depth > 0 and loads:
-            from repro.runtime.prefetch import TilePrefetcher
-
-            # Background threads speculate ahead (read-only, unmetered);
-            # run_tile commits each dequeue through the same metered
-            # path as the sequential loop below, in the same order —
-            # the fault injector keeps firing inside the metered load,
-            # i.e. in deterministic serial sweep order.
-            prefetcher = TilePrefetcher(
-                server,
-                loads,
-                self._tile_parser,
-                depth=knobs.prefetch_depth,
-                io_threads=knobs.io_threads,
-                name_of=lambda item: item[1],
-                io_trace=server.prefetch_trace,
-                wait_trace=trace,
-            )
-            try:
-                for item, hint, _ready in prefetcher:
-                    run_tile(*item, prefetched=hint)
-            finally:
-                prefetcher.close()
-            prefetch_ready = prefetcher.served_ready
-            prefetch_total = prefetcher.dequeues
-        else:
-            for item in loads:
-                run_tile(*item)
 
         # Charge compute as the LPT makespan of this server's
         # indivisible tiles over its T workers (§III-C.3's
@@ -2316,17 +1928,17 @@ class MPE:
                 "dense": DENSE,
                 "sparse": SPARSE,
                 "hybrid": None,
-            }[knobs.comm_mode]
+            }[cfg.comm_mode]
             payload = encode_update(
                 staged,
                 local_ids,
-                codec_name=knobs.message_codec,
+                codec_name=cfg.message_codec,
                 mode=forced,
                 threshold=cfg.sparsity_threshold,
             )
-            if knobs.message_codec != "raw":
+            if cfg.message_codec != "raw":
                 server.counters.add_compressed(
-                    knobs.message_codec, len(payload)
+                    cfg.message_codec, len(payload)
                 )
             if trace is not None:
                 trace.end()  # encode
@@ -2337,20 +1949,10 @@ class MPE:
             tiles_processed=tiles_processed,
             tiles_skipped=tiles_skipped,
             sort_fallbacks=sort_fallbacks,
-            prefetch_ready=prefetch_ready,
-            prefetch_total=prefetch_total,
         )
 
-    # The one decode callback every metered tile load shares — the
-    # sequential sweep, the pipeline's speculation, and its dequeue
-    # commit all parse through this.
+    # The decode callback of a frozen-graph engine's metered tile loads.
     _TILE_PARSER = staticmethod(Tile.from_bytes)
-
-    def _load_decoded_tile(self, server, blob_name: str, prefetched=None):
-        """The single metered tile-load path (satellite of the prefetch
-        PR): cache/disk accounting, fault injection, and decode all
-        funnel through ``Server.load_tile`` with the shared parser."""
-        return server.load_tile(blob_name, self._tile_parser, prefetched)
 
     def _apply_server_step(
         self,
@@ -2381,9 +1983,8 @@ class MPE:
         inbox: list[tuple[int, bytes]],
     ) -> None:
         """:meth:`_apply_server_step` body (traced-path split)."""
-        # The superstep's effective knobs: all senders encoded with the
-        # same per-superstep codec (parent-resolved).
-        codec = self._knobs.message_codec
+        # All senders encoded with the configured message codec.
+        codec = self.config.message_codec
         store = server.state["store"]
         own_ids, own_vals = own_update
         if not self._comm_fastpath:
@@ -2511,11 +2112,6 @@ class _ServerStep:
     tiles_processed: int
     tiles_skipped: int
     sort_fallbacks: int
-    # Pipeline occupancy: dequeues served without stalling / total
-    # dequeues (both 0 when the pipeline is off).  Host-side telemetry
-    # only — never part of the bitwise-compared results.
-    prefetch_ready: int = 0
-    prefetch_total: int = 0
 
 
 @dataclass
@@ -2548,10 +2144,6 @@ class _ProcessStep:
     # Drained trace events from the worker's per-server buffer (None
     # when tracing is off); extended onto the parent's mirror buffer.
     trace: tuple | None = None
-    # Same for the worker's prefetch-pipeline buffer.
-    prefetch_trace: tuple | None = None
-    prefetch_ready: int = 0
-    prefetch_total: int = 0
 
 
 def _parts_ascending(parts: list[np.ndarray]) -> bool:
@@ -2561,21 +2153,6 @@ def _parts_ascending(parts: list[np.ndarray]) -> bool:
         if part[0] <= prev[-1]:
             return False
     return True
-
-
-def _snapshot(server) -> CounterSnapshot:
-    """Freeze the counter fields that accumulate inside one superstep.
-
-    Kept as a function (now returning :class:`CounterSnapshot`) because
-    the baseline engines import it; new code should use
-    ``CounterSnapshot.capture`` directly.
-    """
-    return CounterSnapshot.capture(server)
-
-
-def _delta(server, snap: CounterSnapshot) -> Counters:
-    """Counters object holding only this superstep's volumes."""
-    return snap.delta(server)
 
 
 def _process_tile(

@@ -8,8 +8,8 @@ affected tile (a tile owns the in-edges of its target range, so a
 mutation lands in the tile owning ``dst``).  At load time the engine's
 tile parser composes ``overlay ∘ base`` into an ordinary
 :class:`~repro.partition.tiles.Tile`; everything downstream — the
-decoded-tile cache, prefetch speculation, selective scheduling, the
-gather/apply kernels — sees a normal tile and needs no delta awareness.
+decoded-tile cache, selective scheduling, the gather/apply kernels —
+sees a normal tile and needs no delta awareness.
 
 Composition is deterministic: deletes remove the *first* matching base
 instances in storage order, inserts append, and the result is lexsorted

@@ -24,9 +24,6 @@ server (OpenMP in the paper); disk and NIC are shared per server.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
 
 from repro.cluster.counters import Counters
 from repro.cluster.spec import ClusterSpec
@@ -53,12 +50,6 @@ class SuperstepCost:
     # their base tiles (seek-bound reads) plus applying the pending edge
     # edits while composing.  0 on frozen graphs.
     delta_s: float = 0.0
-    # Overlap-aware estimate: with the tile prefetch pipeline hiding
-    # I/O behind compute, per-server local time is
-    # max(disk + decompress, compute) + fault instead of their sum —
-    # the non-overlappable residue (network + barrier sync + probe)
-    # still adds.  Reported *alongside* total_s; None when not computed.
-    overlap_s: float | None = None
 
     @property
     def total_s(self) -> float:
@@ -147,9 +138,7 @@ class CostModel:
         probe_s = counters.tiles_skipped * k * spec.tile_probe_s
         # Overlays are small seek-bound reads beside the streamed base
         # tile, so their bytes price at random-read bandwidth; the edit
-        # application is per-edge array surgery.  Neither overlaps with
-        # the prefetch pipeline (composition happens at decode time,
-        # after the base bytes arrive).
+        # application is per-edge array surgery.
         delta_s = (
             counters.delta_bytes * k / spec.disk_random_read_bps
             + counters.delta_edges * k * spec.delta_edge_apply_s
@@ -163,13 +152,6 @@ class CostModel:
             fault_s=counters.fault_delay_s,
             probe_s=probe_s,
             delta_s=delta_s,
-            overlap_s=(
-                max(disk_s + decompress_s, compute_s)
-                + net_s
-                + counters.fault_delay_s
-                + probe_s
-                + delta_s
-            ),
         )
 
     def superstep_time(self, per_server: list[Counters]) -> SuperstepCost:
@@ -189,242 +171,13 @@ class CostModel:
                 + c.delta_s
             ),
         )
-        # Under overlap the straggler may be a *different* server (one
-        # can be disk-bound, another compute-bound), so take the max of
-        # the per-server overlap estimates independently.
-        overlap_local = max(
-            max(c.disk_s + c.decompress_s, c.compute_s)
-            + c.fault_s
-            + c.probe_s
-            + c.delta_s
-            for c in costs
-        )
-        net_s = max(c.network_s for c in costs)
-        sync_s = self.spec.superstep_sync_overhead_s
         return SuperstepCost(
             disk_s=slowest.disk_s,
-            network_s=net_s,
+            network_s=max(c.network_s for c in costs),
             decompress_s=slowest.decompress_s,
             compute_s=slowest.compute_s,
-            sync_s=sync_s,
+            sync_s=self.spec.superstep_sync_overhead_s,
             fault_s=slowest.fault_s,
             probe_s=slowest.probe_s,
             delta_s=slowest.delta_s,
-            overlap_s=overlap_local + net_s + sync_s,
         )
-
-    def straggler_index(self, per_server: list[Counters]) -> int:
-        """Index of the server that gates the barrier — the same
-        ``max`` rule :meth:`superstep_time` applies, exposed so callers
-        (the autotuner) can attribute a superstep's volumes to the
-        server whose local time the total actually reflects."""
-        if not per_server:
-            raise ValueError("need at least one server's counters")
-        costs = [self.server_time(c) for c in per_server]
-        keys = [
-            c.disk_s
-            + c.decompress_s
-            + c.compute_s
-            + c.fault_s
-            + c.probe_s
-            + c.delta_s
-            for c in costs
-        ]
-        return keys.index(max(keys))
-
-
-# ----------------------------------------------------------------------
-# Inverting the model: fit the constants from observed supersteps
-# ----------------------------------------------------------------------
-#
-# The forward direction above turns volumes into seconds with *known*
-# constants.  The autotuner (repro.tuning) needs the inverse: given a
-# few observed supersteps — each a (volume vector, total seconds) pair —
-# recover effective rates for disk, each codec, edge processing, and the
-# network, plus the per-superstep synchronisation constant.  The fit
-# never peeks at the ClusterSpec; that is the point — the same machinery
-# would calibrate against host wall clock on real hardware.
-
-
-@dataclass(frozen=True)
-class CostSample:
-    """One superstep's fit row: metered volumes → observed seconds.
-
-    Volumes follow the model's straggler attribution: disk / codec /
-    edge volumes come from the barrier-gating server
-    (:meth:`CostModel.straggler_index`), the network volume is the
-    cluster-wide ``max(max(sent, recv))`` — exactly the quantities the
-    forward model multiplies by its constants, so a fit over these rows
-    is well-posed.
-    """
-
-    disk_bytes: int
-    codec_bytes: Mapping[str, int]  # codec → decompressed+compressed bytes
-    edges: int
-    net_bytes: int
-    observed_s: float
-
-    @classmethod
-    def from_deltas(
-        cls,
-        deltas: Sequence[Counters],
-        observed_s: float,
-        straggler: int,
-    ) -> "CostSample":
-        """Build a fit row from per-server superstep deltas."""
-        d = deltas[straggler]
-        codec_bytes: dict[str, int] = {}
-        for codec, n in d.decompressed.items():
-            codec_bytes[codec] = codec_bytes.get(codec, 0) + int(n)
-        for codec, n in d.compressed.items():
-            codec_bytes[codec] = codec_bytes.get(codec, 0) + int(n)
-        return cls(
-            disk_bytes=int(
-                d.disk_read + d.disk_read_random + d.disk_write
-            ),
-            codec_bytes=codec_bytes,
-            edges=int(d.edges_processed),
-            net_bytes=max(
-                (max(x.net_sent, x.net_recv) for x in deltas), default=0
-            ),
-            observed_s=float(observed_s),
-        )
-
-
-@dataclass(frozen=True)
-class FittedConstants:
-    """Effective rates recovered from observed supersteps.
-
-    Rates are *aggregate* (per server, worker parallelism folded in):
-    ``disk_bw`` and ``net_bw`` in bytes/s, ``codec_mbps`` in MiB/s per
-    codec, ``edge_rate`` in edges/s, ``sync_s`` in seconds.  ``None``
-    means the column was unobserved or eliminated (its term predicts
-    zero cost); a codec absent from ``codec_mbps`` was never exercised.
-    """
-
-    disk_bw: float | None
-    codec_mbps: Mapping[str, float | None]
-    edge_rate: float | None
-    net_bw: float | None
-    sync_s: float
-    num_samples: int = 0
-
-    def codec_seconds(self, codec: str, nbytes: float) -> float:
-        """Modeled (de)compression seconds for ``nbytes`` under a codec."""
-        mbps = self.codec_mbps.get(codec)
-        if not mbps or nbytes <= 0:
-            return 0.0
-        return float(nbytes) / (mbps * 1024 * 1024)
-
-    def predict(self, sample: CostSample) -> float:
-        """Forward-model a sample's volumes under the fitted rates."""
-        total = self.sync_s
-        if self.disk_bw:
-            total += sample.disk_bytes / self.disk_bw
-        for codec, nbytes in sample.codec_bytes.items():
-            total += self.codec_seconds(codec, nbytes)
-        if self.edge_rate:
-            total += sample.edges / self.edge_rate
-        if self.net_bw:
-            total += sample.net_bytes / self.net_bw
-        return total
-
-    def residuals(self, samples: Sequence[CostSample]) -> list[dict]:
-        """Predicted-vs-observed rows (JSON-friendly) for reporting."""
-        out = []
-        for i, s in enumerate(samples):
-            predicted = self.predict(s)
-            out.append(
-                {
-                    "sample": i,
-                    "observed_s": round(s.observed_s, 9),
-                    "predicted_s": round(predicted, 9),
-                    "residual_s": round(s.observed_s - predicted, 9),
-                }
-            )
-        return out
-
-    def to_dict(self) -> dict:
-        def f(v):
-            return None if v is None else float(v)
-
-        return {
-            "disk_bw": f(self.disk_bw),
-            "codec_mbps": {c: f(v) for c, v in self.codec_mbps.items()},
-            "edge_rate": f(self.edge_rate),
-            "net_bw": f(self.net_bw),
-            "sync_s": float(self.sync_s),
-            "num_samples": self.num_samples,
-        }
-
-
-def fit_cost_constants(samples: Sequence[CostSample]) -> FittedConstants:
-    """Least-squares fit of the model constants over observed rows.
-
-    The design matrix has one column per volume kind — combined disk
-    bytes, each exercised codec's combined (de)compression bytes, edges
-    processed, network bytes — plus an intercept for the sync constant.
-    Columns are scaled to unit max before solving (conditioning), the
-    system is solved with a minimum-norm least squares (``lstsq``), and
-    negative rate coefficients — non-physical, typically collinearity
-    artifacts on workloads with constant columns — are removed by
-    backward elimination and the system refit.  Everything here is
-    deterministic for fixed inputs, which is what keeps the autotuner's
-    decision trace identical across executors.
-    """
-    if len(samples) < 2:
-        raise ValueError("need at least 2 samples to fit")
-    codecs = sorted(
-        {c for s in samples for c, n in s.codec_bytes.items() if n}
-    )
-    names = ["disk", *(f"codec:{c}" for c in codecs), "edges", "net"]
-
-    def column(s: CostSample, name: str) -> float:
-        if name == "disk":
-            return float(s.disk_bytes)
-        if name == "edges":
-            return float(s.edges)
-        if name == "net":
-            return float(s.net_bytes)
-        return float(s.codec_bytes.get(name.split(":", 1)[1], 0))
-
-    active = [n for n in names if any(column(s, n) > 0 for s in samples)]
-    y = np.array([s.observed_s for s in samples], dtype=np.float64)
-
-    def solve(cols: list[str]) -> tuple[dict[str, float], float]:
-        a = np.array(
-            [[column(s, n) for n in cols] + [1.0] for s in samples],
-            dtype=np.float64,
-        )
-        scale = np.max(np.abs(a), axis=0)
-        scale[scale == 0] = 1.0
-        coef, *_ = np.linalg.lstsq(a / scale, y, rcond=None)
-        coef = coef / scale
-        return dict(zip(cols, coef[:-1])), float(coef[-1])
-
-    coefs: dict[str, float] = {}
-    intercept = float(np.mean(y))
-    while active:
-        coefs, intercept = solve(active)
-        worst = min(active, key=lambda n: coefs[n])
-        if coefs[worst] >= 0:
-            break
-        active = [n for n in active if n != worst]
-        coefs = {}
-
-    def rate(name: str) -> float | None:
-        c = float(coefs.get(name, 0.0))
-        return (1.0 / c) if c > 0 else None
-
-    codec_mbps: dict[str, float | None] = {}
-    for c in codecs:
-        r = rate(f"codec:{c}")
-        codec_mbps[c] = (r / (1024 * 1024)) if r is not None else None
-    return FittedConstants(
-        disk_bw=rate("disk"),
-        codec_mbps=codec_mbps,
-        edge_rate=rate("edges"),
-        net_bw=rate("net"),
-        sync_s=max(0.0, intercept),
-        num_samples=len(samples),
-    )

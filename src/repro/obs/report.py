@@ -54,7 +54,6 @@ def build_run_report(
     dataset: str = "",
     program: str = "",
     num_servers: int | None = None,
-    extra: dict | None = None,
 ) -> dict:
     """Assemble the run-report dict for one finished run."""
     report = {
@@ -82,8 +81,6 @@ def build_run_report(
         report["counters"] = {
             str(s.server_id): s.counters.snapshot() for s in cluster.servers
         }
-    if extra:
-        report.update(extra)
     return report
 
 
@@ -269,64 +266,4 @@ def format_run_report(report: dict, max_rows: int = 40) -> str:
             "delta: "
             + " ".join(f"{k}={v}" for k, v in sorted(delta.items()))
         )
-    tuning = report.get("tuning")
-    if tuning:
-        lines.extend(_format_tuning(tuning))
     return "\n".join(lines)
-
-
-def _format_tuning(tuning: dict) -> list[str]:
-    """Render the autotuner appendix: fitted constants + decision trace."""
-    lines = ["", "tuning:"]
-    constants = tuning.get("constants")
-    if constants:
-        codec_mbps = constants.get("codec_mbps") or {}
-        parts = []
-        for key, unit in (
-            ("disk_bw", "B/s"),
-            ("edge_rate", "edges/s"),
-            ("net_bw", "B/s"),
-            ("sync_s", "s"),
-        ):
-            v = constants.get(key)
-            if v is not None:
-                parts.append(f"{key}={v:.4g}{unit}")
-        parts.extend(
-            f"codec[{c}]={codec_mbps[c]:.4g}MiB/s"
-            for c in sorted(codec_mbps)
-            if codec_mbps[c] is not None
-        )
-        lines.append(
-            f"  fitted @ step {tuning.get('fit_superstep')} "
-            f"from {tuning.get('num_samples')} samples "
-            f"({tuning.get('time_source')} time): " + " ".join(parts)
-        )
-        residuals = tuning.get("residuals") or []
-        if residuals:
-            worst = max(abs(r.get("residual_s", 0.0)) for r in residuals)
-            lines.append(f"  fit residual: max |err| {worst:.4g}s")
-    plan = tuning.get("plan") or {}
-    for d in plan.get("decisions", []):
-        knobs = d.get("knobs", {})
-        pred = d.get("predicted_s")
-        lines.append(
-            f"  step {d['superstep']:>3} [{d['phase']:>7}] "
-            f"{d.get('reason', '')}  "
-            f"codec={knobs.get('message_codec')} "
-            f"comm={knobs.get('comm_mode')} "
-            f"bloom={'on' if knobs.get('use_bloom') else 'off'} "
-            f"prefetch={knobs.get('prefetch_depth')}x{knobs.get('io_threads')}"
-            + (
-                f" cache->mode{knobs['cache_mode']}"
-                if knobs.get("cache_mode") is not None
-                else ""
-            )
-            + (f"  (predicted {pred:.4g}s)" if pred is not None else "")
-        )
-    switches = plan.get("switch_supersteps")
-    if switches is not None:
-        lines.append(
-            "  switches at: "
-            + (", ".join(str(s) for s in switches) or "none")
-        )
-    return lines

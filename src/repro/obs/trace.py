@@ -55,7 +55,7 @@ END = "E"
 INSTANT = "I"
 # A self-contained span carrying its own duration, recorded with one
 # atomic append — the only kind safe for multi-writer buffers (the
-# prefetch pipeline's I/O threads share one buffer per server).
+# service lane takes submissions from arbitrary client threads).
 COMPLETE = "C"
 
 # Default per-buffer ring capacity.  One superstep of a 9-server run
@@ -64,16 +64,11 @@ COMPLETE = "C"
 DEFAULT_MAX_EVENTS = 200_000
 
 ENGINE_TID = 0
-# Prefetch-pipeline buffers live far above the server tids so the two
-# ranges can never collide however many servers a run has.
-PREFETCH_TID_BASE = 10_000
-# The service daemon's job-lifecycle buffer, above every per-server
-# range.  Submissions arrive from arbitrary client threads, so only
+# The service daemon's job-lifecycle buffer, far above the server tids
+# so the two ranges can never collide however many servers a run has.
+# Submissions arrive from arbitrary client threads, so only
 # single-append event kinds (complete / instant) are recorded on it.
 SERVICE_TID = 20_000
-# The autotuner's decision lane: knob-switch and model-fit instants,
-# recorded by the parent at superstep boundaries.
-TUNING_TID = 30_000
 # The delta subsystem's lane: mutation/compact/merge instants plus
 # dirty-set-size and overlay-bytes gauges, recorded host-side when a
 # mutation batch is applied or an incremental run is planned.
@@ -129,7 +124,7 @@ class TraceBuffer:
         single atomic append.
 
         Unlike :meth:`begin`/:meth:`end` this never touches the nesting
-        depth, so concurrent writers (the prefetch pipeline's I/O
+        depth, so concurrent writers (the service lane's client
         threads) cannot corrupt span structure — each event is whole.
         """
         payload = dict(args)
@@ -231,27 +226,12 @@ class Tracer:
         """The per-server buffer (tile spans, bloom/cache instants)."""
         return self._buffer(int(server_id) + 1, f"server-{int(server_id)}")
 
-    def prefetch(self, server_id: int) -> TraceBuffer:
-        """The per-server prefetch-pipeline buffer (``tile_prefetch``
-        complete-events from background I/O threads).  Created only for
-        runs with prefetch enabled."""
-        return self._buffer(
-            PREFETCH_TID_BASE + int(server_id),
-            f"server-{int(server_id)}-prefetch",
-        )
-
     def service(self) -> TraceBuffer:
         """The service daemon's job-lifecycle buffer (``job`` complete
         spans, ``job_submit``/``job_reject`` instants).  Multi-writer:
         callers must stick to :meth:`TraceBuffer.complete` /
         :meth:`TraceBuffer.instant`, which append atomically."""
         return self._buffer(SERVICE_TID, "service")
-
-    def tuning(self) -> TraceBuffer:
-        """The autotuner's decision lane (``knob_switch`` / ``fit``
-        instants at superstep boundaries).  Parent-only, single-writer;
-        created only for tuned runs."""
-        return self._buffer(TUNING_TID, "tuning")
 
     def delta(self) -> TraceBuffer:
         """The delta subsystem's lane (``mutate`` / ``compact`` /

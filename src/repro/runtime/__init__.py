@@ -14,11 +14,6 @@ from repro.runtime.executor import (
     default_num_threads,
     make_executor,
 )
-from repro.runtime.prefetch import (
-    PrefetchedLoad,
-    TilePrefetcher,
-    speculate_load,
-)
 from repro.runtime.process import ProcessExecutor, default_num_workers
 from repro.runtime.shm import (
     ArenaDisk,
@@ -36,9 +31,6 @@ __all__ = [
     "SharedArray",
     "SharedBlobArena",
     "ArenaDisk",
-    "PrefetchedLoad",
-    "TilePrefetcher",
-    "speculate_load",
     "make_executor",
     "default_num_threads",
     "default_num_workers",

@@ -191,7 +191,8 @@ class ArenaDisk(LocalDisk):
 
     def peek(self, name: str) -> bytes:
         """Unmetered read served from the shared arena when possible —
-        the prefetch pipeline's speculation path inside forked workers."""
+        host-side plumbing such as the end-of-run cache resync and the
+        summary/bloom backfills of a warm service engine."""
         data = self._arena.get(name)
         if data is None:
             return super().peek(name)

@@ -641,7 +641,6 @@ class Engine:
             net_bytes=result.total_net_bytes(),
             disk_read_bytes=result.total_disk_read(),
             recovery=recovery,
-            tuning=result.tuning,
             delta=result.delta,
         )
 

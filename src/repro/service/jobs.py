@@ -3,7 +3,7 @@
 A *job* is one vertex-program run against a graph already registered
 with a warm :class:`repro.service.engine.Engine` — algorithm name plus
 parameters, an optional source vertex, the run-scoped engine knobs
-(executor / prefetch / selective / …), and scheduling metadata
+(executor / selective / incremental / …), and scheduling metadata
 (priority class, tenant).  Specs are plain data: they round-trip
 through JSON so the socket front end, the persisted queue file, and
 the in-process client all speak the same shape.
@@ -150,14 +150,8 @@ class JobSpec:
     executor: str | None = None
     num_threads: int | None = None
     num_workers: int | None = None
-    prefetch_depth: int | None = None
-    io_threads: int | None = None
     selective: bool | None = None
     vertex_store: str | None = None
-    # Online autotuner (repro.tuning).  Run-scoped: the fitted constants
-    # live on the warm engine, so a later tuned job against the same
-    # registration skips the exploration window.
-    tune: bool | None = None
     # Incremental computation (repro.delta): restart from this graph's
     # previous fixed point for the same algorithm, repairing only the
     # vertices disturbed by mutations applied since.  Run-scoped: the
@@ -187,11 +181,8 @@ class JobSpec:
             ("executor", "executor"),
             ("num_threads", "num_threads"),
             ("num_workers", "num_workers"),
-            ("prefetch_depth", "prefetch_depth"),
-            ("io_threads", "io_threads"),
             ("selective", "selective_scheduling"),
             ("vertex_store", "vertex_store"),
-            ("tune", "tune"),
             ("incremental", "incremental"),
             ("max_supersteps", "max_supersteps"),
             ("checkpoint_every", "checkpoint_every"),
@@ -238,9 +229,6 @@ class JobResult:
     disk_read_bytes: int = 0
     # Supervised-recovery summary when the job ran under fault injection.
     recovery: dict | None = None
-    # Autotuner summary (fitted constants, residuals, decision trace)
-    # when the job ran tuned; None otherwise.
-    tuning: dict | None = None
     # Evolving-graph summary (repro.delta): incremental-plan stats plus
     # the overlay-store state; None on non-evolving registrations.
     delta: dict | None = None
@@ -261,7 +249,6 @@ class JobResult:
             "net_bytes": self.net_bytes,
             "disk_read_bytes": self.disk_read_bytes,
             "recovery": self.recovery,
-            "tuning": self.tuning,
             "delta": self.delta,
         }
         if include_values and self.values is not None:
@@ -289,7 +276,6 @@ class JobResult:
             net_bytes=int(d.get("net_bytes", 0)),
             disk_read_bytes=int(d.get("disk_read_bytes", 0)),
             recovery=d.get("recovery"),
-            tuning=d.get("tuning"),
             delta=d.get("delta"),
         )
 

@@ -83,10 +83,7 @@ def cache_plan(
     ``MPE.setup``: a ``None`` capacity means "all idle RAM", modeled as
     exactly the server's own tile volume (every tile fits raw); a
     ``None`` mode invokes the §IV-B selection rule against the resolved
-    capacity.  Shared by the one-shot setup path and the autotuner's
-    per-superstep re-evaluation (where ``total_tile_bytes`` is the
-    *live* scheduled working set rather than the static tile volume),
-    so both consult one implementation of the paper's rule.
+    capacity.
     """
     capacity = (
         max(int(total_tile_bytes), 1)
@@ -155,38 +152,17 @@ class EdgeCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def get(self, key: str, prefetched=None) -> bytes | None:
-        """Return the uncompressed blob on hit, ``None`` on miss.
-
-        ``prefetched`` is an optional speculation record from the tile
-        prefetch pipeline (:mod:`repro.runtime.prefetch`).  Its decoded
-        product is reused *only* when it was derived from the exact
-        stored entry (object identity) — the hint can never change the
-        hit/miss decision or the metered byte counts, it only skips
-        re-running the deterministic codec.
-        """
+    def get(self, key: str) -> bytes | None:
+        """Return the uncompressed blob on hit, ``None`` on miss."""
         blob = self._entries.get(key)
         if blob is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        if (
-            prefetched is not None
-            and prefetched.decompressed is not None
-            and prefetched.stored is blob
-        ):
-            data = prefetched.decompressed
-        else:
-            data = self.codec.decompress(blob)
+        data = self.codec.decompress(blob)
         self.stats.bytes_decompressed += len(data)
         return data
-
-    def peek_stored(self, key: str) -> bytes | None:
-        """Non-mutating probe: the *stored* (possibly compressed) entry
-        bytes, or ``None``.  No stats, no recency update — safe for the
-        prefetch pipeline's background speculation."""
-        return self._entries.get(key)
 
     def touch(self, key: str, uncompressed_len: int) -> bool:
         """Metering-equivalent hit for callers that already hold the
@@ -206,7 +182,7 @@ class EdgeCache:
         self.stats.bytes_decompressed += int(uncompressed_len)
         return True
 
-    def put(self, key: str, data: bytes, prefetched=None) -> bool:
+    def put(self, key: str, data: bytes) -> bool:
         """Insert an uncompressed blob; returns False if not admitted.
 
         Under ``eviction="none"`` an entry that does not fit in the
@@ -214,20 +190,8 @@ class EdgeCache:
         ``"lru"`` least-recently-used entries are evicted to make room;
         blobs bigger than the whole capacity are rejected rather than
         flushing the entire cache.
-
-        ``prefetched`` may carry a speculatively pre-compressed copy of
-        ``data``; it is reused only when compressed from this exact
-        object (compression is deterministic, so the bytes — and every
-        admission decision downstream of them — are identical).
         """
-        if (
-            prefetched is not None
-            and prefetched.compressed is not None
-            and prefetched.raw is data
-        ):
-            blob = prefetched.compressed
-        else:
-            blob = self.codec.compress(data)
+        blob = self.codec.compress(data)
         self.stats.bytes_compressed_in += len(data)
         if len(blob) > self.capacity_bytes:
             self.stats.rejected += 1
@@ -253,71 +217,14 @@ class EdgeCache:
         self.stats.insertions += 1
         return True
 
-    def load(self, key: str, disk: LocalDisk, prefetched=None) -> bytes:
-        """The §IV-B lookup path: cache first, else disk + insert.
-
-        With a ``prefetched`` record the miss path serves the already-
-        peeked bytes through :meth:`LocalDisk.read_cached` (identical
-        metering, same returned object) so the insert can reuse the
-        speculative compression.  Hit/miss, admission, and every stat
-        are decided here exactly as without the hint.
-        """
-        data = self.get(key, prefetched)
+    def load(self, key: str, disk: LocalDisk) -> bytes:
+        """The §IV-B lookup path: cache first, else disk + insert."""
+        data = self.get(key)
         if data is not None:
             return data
-        if prefetched is not None and prefetched.raw is not None:
-            data = disk.read_cached(key, prefetched.raw)
-        else:
-            data = disk.read(key)
-        self.put(key, data, prefetched)
+        data = disk.read(key)
+        self.put(key, data)
         return data
-
-    def switch_mode(self, mode: int) -> int:
-        """Re-encode every resident entry under a new mode's codec.
-
-        The autotuner's mid-run cache-mode switch: entries are
-        decompressed with the old codec and recompressed with the new
-        one, preserving recency order.  Entries that no longer fit
-        (switching to a worse-ratio codec inflates the footprint) are
-        dropped least-recent-first and counted as evictions.  Returns
-        the total *uncompressed* bytes re-encoded so the caller can
-        meter the decompression work (compression is uncharged, matching
-        the insert path); a same-mode call is a free no-op.
-
-        Deterministic: contents are a pure function of the admitted-key
-        sequence and the mode history, so serial, thread, and process
-        executors end up with byte-identical caches after a switch.
-        """
-        if mode == self.mode:
-            return 0
-        if not 1 <= mode <= len(CACHE_MODES):
-            raise ValueError(f"cache mode must be 1..{len(CACHE_MODES)}")
-        old_codec = self.codec
-        items = [
-            (key, old_codec.decompress(blob))
-            for key, blob in self._entries.items()
-        ]
-        self.mode = mode
-        new_codec = self.codec
-        self._entries = OrderedDict()
-        self._used = 0
-        total_raw = 0
-        # Recompress most-recent-first so capacity pressure drops the
-        # least recent entries — the same survivors an LRU would keep.
-        kept = []
-        for key, data in reversed(items):
-            total_raw += len(data)
-            blob = new_codec.compress(data)
-            if self._used + len(blob) > self.capacity_bytes:
-                self.stats.evictions += 1
-                if self.trace is not None:
-                    self.trace.instant("cache-evict", "cache", key=key)
-                continue
-            kept.append((key, blob))
-            self._used += len(blob)
-        for key, blob in reversed(kept):
-            self._entries[key] = blob
-        return total_raw
 
     def content_keys(self) -> list[str]:
         """Entry keys in recency order (least recent first).
@@ -433,11 +340,6 @@ class DecodedTileCache:
         self._entries.move_to_end(key)
         self.stats.hits += 1
         return entry
-
-    def peek(self, key: str) -> tuple[object, int] | None:
-        """Non-mutating probe (no stats, no recency) for the prefetch
-        pipeline's background speculation."""
-        return self._entries.get(key)
 
     def put(self, key: str, obj: object, uncompressed_len: int) -> None:
         """Insert a decoded object, evicting LRU entries past capacity."""

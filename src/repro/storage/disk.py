@@ -44,23 +44,9 @@ class LocalDisk:
         self.read_ops += 1
         return data
 
-    def read_cached(self, name: str, data: bytes) -> bytes:
-        """Metering-equivalent read for callers that already hold the
-        blob bytes (the tile prefetch pipeline).
-
-        Charges exactly what :meth:`read` would — blobs are immutable
-        for the duration of a run, so ``data`` (obtained earlier via
-        :meth:`peek`) is byte-identical to what a fresh read would
-        return.  Returns the *same object* so downstream identity
-        checks can tell a prefetched copy from a fresh read.
-        """
-        self.bytes_read += len(data)
-        self.read_ops += 1
-        return data
-
     def peek(self, name: str) -> bytes:
         """Unmetered read for host-side plumbing (shared-memory blob
-        placement, cache resync, prefetch speculation) — never for
+        placement, cache resync, schedule summaries) — never for
         simulated I/O."""
         return self._path(name).read_bytes()
 

@@ -319,61 +319,6 @@ class TestProcessExecutorChaos:
         assert a == b
 
 
-class TestPrefetchChaosDeterminism:
-    """The tile prefetch pipeline must not move a single fault: the
-    injector fires inside the metered load at dequeue — the same
-    per-tile instant, in the same serial sweep order — so any fault
-    schedule converges to the same values with the same recovery report
-    whether the pipeline is on or off."""
-
-    def test_disk_error_schedule_identical_with_pipeline(self, graph, clean):
-        clean_values, _ = clean
-        schedule = [FaultEvent(DISK_ERROR, superstep=1, server=0, retries=2)]
-        off_values, off_report = _supervised(graph, FaultSchedule(schedule))
-        on_values, on_report = _supervised(
-            graph, FaultSchedule(schedule), prefetch_depth=2, io_threads=2
-        )
-        assert np.array_equal(on_values, clean_values)
-        assert np.array_equal(off_values, on_values)
-        assert on_report.fault_retries == 2
-        assert off_report.to_dict() == on_report.to_dict()
-
-    def test_crash_schedule_identical_with_pipeline(self, graph, clean):
-        clean_values, _ = clean
-        off_values, off_report = _supervised(graph, ACCEPTANCE_SCHEDULE)
-        on_values, on_report = _supervised(
-            graph, ACCEPTANCE_SCHEDULE, prefetch_depth=4
-        )
-        assert np.array_equal(on_values, clean_values)
-        assert np.array_equal(off_values, on_values)
-        assert off_report.to_dict() == on_report.to_dict()
-
-    def test_chaos_under_process_with_pipeline(self, graph, clean):
-        from repro.runtime import process_runtime_available
-
-        if not process_runtime_available():
-            pytest.skip("platform lacks fork + POSIX shared memory")
-        clean_values, _ = clean
-        values, report = _supervised(
-            graph,
-            TestProcessExecutorChaos.CHAOS,
-            executor="process",
-            prefetch_depth=2,
-            io_threads=2,
-        )
-        assert np.array_equal(values, clean_values)
-        assert report.converged
-        serial_values, serial_report = _supervised(
-            graph, TestProcessExecutorChaos.CHAOS, prefetch_depth=2
-        )
-        assert np.array_equal(serial_values, clean_values)
-        a = serial_report.to_dict()
-        b = report.to_dict()
-        a.pop("aborted_attempt_edges")
-        b.pop("aborted_attempt_edges")
-        assert a == b
-
-
 # ----------------------------------------------------------------------
 # Individual fault classes
 # ----------------------------------------------------------------------

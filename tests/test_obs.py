@@ -133,6 +133,18 @@ class TestTraceBuffer:
         dst.extend(shipped)
         assert [e[0] for e in dst.events()] == ["B", "I", "E"]
 
+    def test_complete_primitive_is_depth_neutral(self):
+        buf = TraceBuffer(7, "io")
+        buf.begin("outer")
+        buf.complete("tile_prefetch", "prefetch", 1.0, 1.5, blob="t0")
+        assert buf.depth == 1  # complete() never touches nesting
+        buf.end()
+        kinds = [e[0] for e in buf.events()]
+        assert kinds == ["B", "C", "E"]
+        _, name, cat, ts, args = buf.events()[1]
+        assert (name, cat, ts) == ("tile_prefetch", "prefetch", 1.0)
+        assert args["dur_s"] == 0.5 and args["blob"] == "t0"
+
 
 class TestTraceDeterminism:
     def test_span_trees_identical_across_executors(self, skewed):
@@ -216,93 +228,21 @@ class TestTraceDeterminism:
         assert counts.get("fault-crash", 0) >= 1
 
 
-class TestPrefetchObservability:
-    """The tile prefetch pipeline's trace artifacts: per-server prefetch
-    buffers of ``tile_prefetch`` complete-events, ``prefetch_wait``
-    spans on the compute thread, and the occupancy gauge."""
-
-    def test_prefetch_buffers_and_spans(self, skewed):
+class TestExporters:
+    def test_complete_events_export_as_x_phase(self):
         tracer = Tracer()
-        _run(skewed, "serial", tracer=tracer, prefetch_depth=2)
-        labels = {b.label for b in tracer.buffers()}
-        assert {
-            f"server-{i}-prefetch" for i in range(NUM_SERVERS)
-        } <= labels
-        completes = sum(
-            1
-            for b in tracer.buffers()
-            for kind, name, *_ in b.events()
-            if kind == "C" and name == "tile_prefetch"
-        )
-        waits = sum(
-            1
-            for b in tracer.buffers()
-            for kind, name, *_ in b.events()
-            if kind == "B" and name == "prefetch_wait"
-        )
-        # Every dequeued tile produced exactly one of each.
-        assert completes > 0 and completes == waits
-        gauge_text = tracer.metrics.to_text()
-        assert "repro_prefetch_occupancy" in gauge_text
-
-    def test_depth_zero_traces_unchanged(self, skewed):
-        """Prefetch off: no prefetch buffers, no prefetch span names —
-        the seed trace shape survives byte for byte."""
-        tracer = Tracer()
-        _run(skewed, "serial", tracer=tracer, prefetch_depth=0)
-        assert not any("prefetch" in b.label for b in tracer.buffers())
-        for buf in tracer.buffers():
-            for _kind, name, *_ in buf.events():
-                assert name not in ("tile_prefetch", "prefetch_wait")
-
-    def test_prefetch_trees_identical_across_executors(self, skewed):
-        """With one I/O thread the prefetch event order is deterministic,
-        so full span trees (prefetch buffers included) must agree across
-        executors exactly like the seed trace contract."""
-        trees, values = {}, {}
-        for executor in EXECUTORS:
-            tracer = Tracer()
-            result, _, _ = _run(
-                skewed, executor, tracer=tracer,
-                prefetch_depth=2, io_threads=1,
-            )
-            trees[executor] = tracer.span_trees()
-            values[executor] = result.values
-        for executor in EXECUTORS[1:]:
-            assert trees[executor] == trees["serial"], executor
-            assert np.array_equal(values[executor], values["serial"])
-
-    def test_complete_events_export_as_x_phase(self, skewed, tmp_path):
-        from repro.obs.export import to_chrome_trace, validate_chrome_trace
-
-        tracer = Tracer()
-        _run(skewed, "serial", tracer=tracer, prefetch_depth=2)
+        tracer.service().complete("job", "service", 1.0, 1.5, job="job-1")
         trace = to_chrome_trace(tracer)
         assert validate_chrome_trace(trace) == []
-        prefetch_events = [
-            e for e in trace["traceEvents"]
-            if e.get("name") == "tile_prefetch"
+        complete_events = [
+            e for e in trace["traceEvents"] if e.get("name") == "job"
         ]
-        assert prefetch_events
-        for event in prefetch_events:
+        assert complete_events
+        for event in complete_events:
             assert event["ph"] == "X"
             assert event["dur"] >= 0
-            assert "blob" in event.get("args", {})
+            assert "job" in event.get("args", {})
 
-    def test_complete_primitive_is_depth_neutral(self):
-        buf = TraceBuffer(7, "io")
-        buf.begin("outer")
-        buf.complete("tile_prefetch", "prefetch", 1.0, 1.5, blob="t0")
-        assert buf.depth == 1  # complete() never touches nesting
-        buf.end()
-        kinds = [e[0] for e in buf.events()]
-        assert kinds == ["B", "C", "E"]
-        _, name, cat, ts, args = buf.events()[1]
-        assert (name, cat, ts) == ("tile_prefetch", "prefetch", 1.0)
-        assert args["dur_s"] == 0.5 and args["blob"] == "t0"
-
-
-class TestExporters:
     def test_chrome_trace_roundtrip(self, skewed, tmp_path):
         tracer = Tracer()
         _run(skewed, "serial", tracer=tracer)

@@ -532,182 +532,20 @@ class TestExecutorResolution:
         assert MPEConfig(num_workers=None).num_workers is None
 
 
-class TestPrefetchBitwiseIdentity:
-    """Tentpole acceptance: with the tile prefetch pipeline on at any
-    depth, values, Counters, CacheStats, and modeled costs are bitwise
-    identical to the sequential sweep — across executors, comm modes,
-    and cache configurations."""
-
-    @pytest.mark.parametrize("depth", [1, 4])
-    @pytest.mark.parametrize("comm", ["dense", "sparse", "hybrid"])
-    def test_depth_sweep_serial(self, skewed, depth, comm):
-        def cfg(d):
-            return MPEConfig(
-                comm_mode=comm, prefetch_depth=d, use_bloom_filters=True
-            )
-
-        _assert_identical(
-            _run(skewed, PageRank(), cfg(0), max_supersteps=10),
-            _run(skewed, PageRank(), cfg(depth), max_supersteps=10),
-        )
-
-    @pytest.mark.parametrize("depth", [1, 4])
-    def test_depth_sweep_parallel(self, skewed, depth):
-        _assert_identical(
-            _run(skewed, PageRank(), MPEConfig(), max_supersteps=10),
-            _run(
-                skewed,
-                PageRank(),
-                MPEConfig(
-                    executor="parallel",
-                    num_threads=2,
-                    prefetch_depth=depth,
-                    io_threads=2,
-                ),
-                max_supersteps=10,
-            ),
-        )
-
-    @needs_process
-    @pytest.mark.parametrize("depth", [1, 4])
-    def test_depth_sweep_process(self, skewed, depth):
-        _assert_identical(
-            _run(skewed, PageRank(), MPEConfig(), max_supersteps=10),
-            _run(
-                skewed,
-                PageRank(),
-                MPEConfig(
-                    executor="process",
-                    num_workers=2,
-                    prefetch_depth=depth,
-                    io_threads=2,
-                ),
-                max_supersteps=10,
-            ),
-        )
-
-    def test_thrashing_cache_with_io_threads(self, skewed):
-        """A thrashing edge cache maximises speculation failures (the
-        entry observed at enqueue is evicted by dequeue): every hint
-        must degrade to the inline path, never to different metering."""
-        base = dict(cache_capacity_bytes=4096, cache_mode=1)
-        _assert_identical(
-            _run(skewed, PageRank(), MPEConfig(**base), max_supersteps=8),
-            _run(
-                skewed,
-                PageRank(),
-                MPEConfig(prefetch_depth=3, io_threads=2, **base),
-                max_supersteps=8,
-            ),
-        )
-
-    def test_no_cache_and_wcc(self, skewed):
-        und = skewed.to_undirected_edges()
-        _assert_identical(
-            _run(und, WCC(), MPEConfig(cache_mode=None), max_supersteps=10),
-            _run(
-                und,
-                WCC(),
-                MPEConfig(cache_mode=None, prefetch_depth=2),
-                max_supersteps=10,
-            ),
-        )
-
-    def test_result_reports_depth_and_occupancy(self, skewed):
-        result, _ = _run(
-            skewed, PageRank(), MPEConfig(prefetch_depth=2), max_supersteps=6
-        )
-        assert result.prefetch_depth == 2
-        assert result.runtime()["prefetch_depth"] == 2
-        # Overlap estimate exists and can never exceed the serial sum.
-        for s in result.supersteps:
-            assert s.modeled.overlap_s is not None
-            assert s.modeled.overlap_s <= s.modeled.total_s + 1e-12
-
-
 class TestPrefetchConfig:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MPEConfig(prefetch_depth=-1)
-        with pytest.raises(ValueError):
-            MPEConfig(io_threads=0)
+        """The retired prefetch/autotuner fields accept only their
+        defaults and name the removed mechanism for any other value."""
+        for kwargs, mechanism in (
+            (dict(prefetch_depth=-1), "prefetch pipeline"),
+            (dict(prefetch_depth=1), "prefetch pipeline"),
+            (dict(io_threads=0), "prefetch pipeline"),
+            (dict(io_threads=2), "prefetch pipeline"),
+            (dict(tune=True), "autotuner"),
+        ):
+            with pytest.raises(ValueError, match=mechanism):
+                MPEConfig(**kwargs)
         assert MPEConfig(prefetch_depth=0).io_threads == 1
-
-    def test_env_override_wins(self, skewed, monkeypatch):
-        baseline = _run(skewed, PageRank(), MPEConfig(), max_supersteps=6)
-        monkeypatch.setenv("REPRO_PREFETCH", "2")
-        result, telemetry = _run(
-            skewed, PageRank(), MPEConfig(prefetch_depth=0), max_supersteps=6
-        )
-        assert result.prefetch_depth == 2
-        _assert_identical(baseline, (result, telemetry))
-
-    def test_env_override_rejects_junk(self, skewed, monkeypatch):
-        monkeypatch.setenv("REPRO_PREFETCH", "lots")
-        with pytest.raises(ValueError, match="REPRO_PREFETCH"):
-            _run(skewed, PageRank(), MPEConfig(), max_supersteps=2)
-        monkeypatch.setenv("REPRO_PREFETCH", "-3")
-        with pytest.raises(ValueError, match="REPRO_PREFETCH"):
-            _run(skewed, PageRank(), MPEConfig(), max_supersteps=2)
-
-
-class TestTilePrefetcherPrimitives:
-    def test_validation(self):
-        from repro.runtime import TilePrefetcher
-
-        class _Stub:
-            server_id = 0
-
-        with pytest.raises(ValueError, match="depth"):
-            TilePrefetcher(_Stub(), [], lambda b: b, depth=0)
-        with pytest.raises(ValueError, match="io_threads"):
-            TilePrefetcher(_Stub(), [], lambda b: b, depth=1, io_threads=0)
-
-    def test_yields_schedule_order_with_hints(self, tmp_path):
-        from repro.cluster import Cluster, ClusterSpec
-        from repro.runtime import TilePrefetcher
-
-        with Cluster(ClusterSpec(num_servers=1)) as cluster:
-            server = cluster.servers[0]
-            names = [f"t{i}" for i in range(6)]
-            for name in names:
-                server.disk.write(name, name.encode() * 10)
-            pre = TilePrefetcher(
-                server, names, lambda b: b.decode(), depth=2, io_threads=2
-            )
-            try:
-                out = list(pre)
-            finally:
-                pre.close()
-            assert [item for item, _, _ in out] == names
-            # Every hint carries the parse product of the right bytes.
-            for name, hint, _ready in out:
-                assert hint is not None
-                assert hint.decoded == name * 10
-            assert pre.dequeues == len(names)
-            assert 0 <= pre.served_ready <= pre.dequeues
-
-    def test_failed_speculation_degrades_to_no_hint(self):
-        from repro.cluster import Cluster, ClusterSpec
-        from repro.runtime import TilePrefetcher
-
-        def explosive_parser(_data):
-            raise RuntimeError("decode exploded")
-
-        with Cluster(ClusterSpec(num_servers=1)) as cluster:
-            server = cluster.servers[0]
-            server.disk.write("t0", b"x" * 10)
-            pre = TilePrefetcher(
-                server, ["t0", "missing"], explosive_parser, depth=2
-            )
-            try:
-                hints = [hint for _item, hint, _ready in pre]
-            finally:
-                pre.close()
-            # Parser blew up on t0 -> swallowed; "missing" peeked None ->
-            # an empty (but present) speculation.
-            assert hints[0] is None
-            assert hints[1] is not None and hints[1].raw is None
 
 
 class TestSortSkip:

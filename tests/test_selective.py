@@ -5,7 +5,7 @@ The GraphMP-port invariants:
 * **Bitwise identity** — selective scheduling and the mmap vertex store
   are pure I/O optimisations: values, counters, modeled costs, and
   per-superstep skip counts must be bit-for-bit identical with the
-  features on or off, under every executor and prefetch depth.  (The
+  features on or off, under every executor and vertex store.  (The
   sweeps pin the bloom filter at a near-zero false-positive rate so the
   approximate prune makes the same decisions as the exact one — with
   the default rate the bitmap legitimately skips *more* tiles, which is
@@ -87,17 +87,15 @@ class TestBitwiseIdentity:
         )
         return _run(skewed, cfg, max_supersteps=14)
 
-    @pytest.mark.parametrize("prefetch", [0, 2])
     @pytest.mark.parametrize("store", ["mem", "mmap"])
     @pytest.mark.parametrize("executor", ["serial", "parallel", "process"])
-    def test_sweep(self, skewed, baseline, executor, store, prefetch):
+    def test_sweep(self, skewed, baseline, executor, store):
         if executor == "process" and not process_runtime_available():
             pytest.skip("platform lacks fork + POSIX shared memory")
         cfg = MPEConfig(
             selective_scheduling=True,
             vertex_store=store,
             executor=executor,
-            prefetch_depth=prefetch,
             bloom_false_positive_rate=EXACT_BLOOM,
         )
         run = _run(skewed, cfg, max_supersteps=14)
@@ -181,8 +179,7 @@ def bloom_calls(monkeypatch):
     from repro.runtime.process import ProcessExecutor
     from repro.utils.bloom import BloomFilter
 
-    for var in ("REPRO_SELECTIVE", "REPRO_TUNE"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_SELECTIVE", raising=False)
     counts = {"build": multiprocessing.Value("i", 0),
               "probe": multiprocessing.Value("i", 0)}
     order: list[str] = []

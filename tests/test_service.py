@@ -377,6 +377,21 @@ class TestPersistence:
         finally:
             reloaded.shutdown()
 
+    def test_spec_with_retired_knobs_loads_and_runs(self, engine):
+        """A spec persisted while the prefetch pipeline and the
+        autotuner existed still carries their keys: it loads, and the
+        job runs to the values of the same spec without them."""
+        current = JobSpec(
+            graph="svc-g", algorithm="pagerank", params=PAGERANK_PARAMS
+        )
+        persisted = current.to_dict()
+        persisted.update(tune=True, prefetch_depth=2, io_threads=2)
+        legacy = JobSpec.from_dict(json.loads(json.dumps(persisted)))
+        assert legacy == current
+        legacy_values = _run_one(engine, legacy).result.values
+        current_values = _run_one(engine, current).result.values
+        assert legacy_values.tobytes() == current_values.tobytes()
+
     def test_restart_restores_queued_jobs_in_order(self, graph, tmp_path):
         state = str(tmp_path / "state")
         eng = Engine(num_servers=2, state_dir=state, share_tiles=False)

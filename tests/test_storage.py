@@ -12,6 +12,7 @@ from repro.storage import (
     get_codec,
     select_cache_mode,
 )
+from repro.storage.cache import cache_plan
 
 
 class TestCodecs:
@@ -177,6 +178,23 @@ class TestModeSelection:
     @given(st.integers(0, 10**12), st.integers(0, 10**12))
     def test_mode_always_valid(self, total, capacity):
         assert 1 <= select_cache_mode(total, capacity) <= 4
+
+
+class TestCachePlan:
+    def test_none_capacity_means_everything_fits_raw(self):
+        assert cache_plan(5000, None) == (5000, 1)
+        # Degenerate empty server still gets a positive capacity.
+        assert cache_plan(0, None) == (1, 1)
+
+    def test_explicit_mode_is_passed_through(self):
+        assert cache_plan(5000, 10, mode=4) == (10, 4)
+
+    def test_matches_selection_rule(self):
+        for total in (1000, 10_000, 100_000):
+            for capacity in (100, 1000, 5000, 100_000):
+                capacity_out, mode = cache_plan(total, capacity)
+                assert capacity_out == capacity
+                assert mode == select_cache_mode(total, capacity)
 
 
 class TestEdgeCache:
